@@ -1,18 +1,17 @@
-// Microbenchmark of the arena-backed write-history layout (PR 8): every
-// object's ring lives in one contiguous HistoryArena slice, against the
-// previous layout where each object owned a separately heap-allocated
-// ring. Both sides run the identical WriteHistory code — the delta is
-// purely memory layout — over the simulator's two hot shapes: committed
-// write recording round-robin across the store, and proper-value scans
-// over neighboring objects. Min-of-N ops/sec, with a JsonReport emitted
-// for `--registry <dir>` cross-run trends like every figure harness.
+// Microbenchmark of the ObjectStore as built: each record's write-history
+// ring comes from the store's HistoryPool at its first committed write.
+// Times the simulator's two hot shapes through the record API — committed
+// write recording (ApplyWrite + CommitWrite) round-robin across the store,
+// and proper-value scans over neighboring objects, on a store whose rings
+// are full and on one never written (no rings) — plus the store's load
+// path. Also reports the bytes a never-written and a written object cost.
+// Min-of-N ops/sec, with a JsonReport emitted for `--registry <dir>`
+// cross-run trends like every figure harness.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/timestamp.h"
 #include "common/types.h"
@@ -22,11 +21,12 @@
 
 namespace {
 
-using esr::HistoryArena;
 using esr::ObjectId;
+using esr::ObjectRecord;
 using esr::ObjectStore;
 using esr::ObjectStoreOptions;
 using esr::Timestamp;
+using esr::TxnId;
 using esr::WriteHistory;
 using esr::bench::AveragedResult;
 using esr::bench::JsonReport;
@@ -48,71 +48,39 @@ double MinOfN(int reps, double ops, Kernel&& kernel) {
   return ops / best_s;
 }
 
-Timestamp Ts(int64_t t) { return Timestamp{t, 0}; }
-
-/// The store's hot shapes over any collection of per-object histories.
-/// `at(i)` returns a WriteHistory&, so arena-backed views and standalone
-/// (per-object heap) rings run the exact same instruction stream.
-template <typename At>
-uint64_t RecordChurn(size_t num_objects, int rounds, const At& at) {
+/// Commits one write to every object per round, in id order, at strictly
+/// increasing timestamps continuing from `*ts`.
+uint64_t CommitChurn(ObjectStore& store, int rounds, int64_t* ts) {
   uint64_t sink = 0;
-  int64_t ts = 1;
   for (int r = 0; r < rounds; ++r) {
-    for (size_t i = 0; i < num_objects; ++i) {
-      at(i).Record(Ts(ts++), static_cast<esr::Value>(r));
+    for (ObjectId id = 0; id < store.size(); ++id) {
+      const TxnId txn = static_cast<TxnId>(*ts);
+      ObjectRecord& rec = store.Get(id);
+      rec.ApplyWrite(txn, Timestamp{(*ts)++, 0}, static_cast<esr::Value>(r));
+      rec.CommitWrite(txn);
     }
   }
-  for (size_t i = 0; i < num_objects; ++i) sink += at(i).size();
+  for (ObjectId id = 0; id < store.size(); ++id) {
+    sink += store.Get(id).history().size();
+  }
   return sink;
 }
 
-template <typename At>
-uint64_t ProperScan(size_t num_objects, int rounds, const At& at) {
+uint64_t ProperScan(const ObjectStore& store, int rounds) {
   uint64_t sink = 0;
   for (int r = 0; r < rounds; ++r) {
-    for (size_t i = 0; i < num_objects; ++i) {
-      const auto v = at(i).ProperValueBefore(
-          Ts(static_cast<int64_t>((i + r) % 1000) * 64 + 1));
+    for (ObjectId id = 0; id < store.size(); ++id) {
+      const auto v = store.Get(id).ProperValueFor(
+          Timestamp{static_cast<int64_t>((id + r) % 1000) * 64 + 1, 0});
       if (v.has_value()) sink += static_cast<uint64_t>(*v);
     }
   }
   return sink;
 }
 
-/// Per-object heap layout: each ring is its own allocation, interleaved
-/// with decoy allocations so the blocks land apart, the way a long run's
-/// churn scatters them.
-struct LegacyStore {
-  std::vector<std::unique_ptr<WriteHistory>> rings;
-  std::vector<std::unique_ptr<WriteHistory::Entry[]>> decoys;
-
-  LegacyStore(size_t num_objects, size_t depth) {
-    rings.reserve(num_objects);
-    for (size_t i = 0; i < num_objects; ++i) {
-      rings.push_back(std::make_unique<WriteHistory>(depth));
-      decoys.push_back(
-          std::make_unique<WriteHistory::Entry[]>(depth * 3 + i % 7));
-    }
-  }
-  WriteHistory& at(size_t i) const { return *rings[i]; }
-};
-
-struct ArenaStore {
-  HistoryArena arena;
-  std::vector<WriteHistory> rings;
-
-  ArenaStore(size_t num_objects, size_t depth) : arena(num_objects, depth) {
-    rings.reserve(num_objects);
-    for (size_t i = 0; i < num_objects; ++i) {
-      rings.emplace_back(arena.SlotFor(static_cast<ObjectId>(i)), depth);
-    }
-  }
-  WriteHistory& at(size_t i) { return rings[i]; }
-};
-
-AveragedResult Point(double ops_per_sec) {
+AveragedResult Point(double value) {
   AveragedResult result;
-  result.throughput = ops_per_sec;
+  result.throughput = value;
   return result;
 }
 
@@ -126,66 +94,65 @@ int main(int argc, char** argv) {
   const int record_rounds = full ? 400 : 100;
   const int scan_rounds = full ? 2000 : 500;
   std::printf(
-      "=== micro_object_store: arena-backed vs per-object write-history "
-      "layout, %zu objects (min of %d reps) ===\n\n",
+      "=== micro_object_store: the store's pooled on-first-commit "
+      "write-history rings, %zu objects (min of %d reps) ===\n\n",
       kObjects, reps);
 
   JsonReport report("micro_object_store", scale);
-  Table table({"kernel", "depth", "arena (Mops/s)", "per-object (Mops/s)",
-               "ratio"});
+  Table table({"kernel", "depth", "Mops/s"});
+  Table bytes({"depth", "B/never-written object", "B/written object"});
   uint64_t sink = 0;
+  const double record_ops =
+      static_cast<double>(record_rounds) * static_cast<double>(kObjects);
+  const double scan_ops =
+      static_cast<double>(scan_rounds) * static_cast<double>(kObjects);
 
   for (const size_t depth : {size_t{20}, size_t{64}}) {
-    const double record_ops =
-        static_cast<double>(record_rounds) * static_cast<double>(kObjects);
-    const double scan_ops =
-        static_cast<double>(scan_rounds) * static_cast<double>(kObjects);
+    ObjectStoreOptions opt;
+    opt.num_objects = kObjects;
+    opt.history_depth = depth;
+    const double x = static_cast<double>(depth);
 
-    ArenaStore arena(kObjects, depth);
-    LegacyStore legacy(kObjects, depth);
-    // Fill both to steady state (full rings) before timing.
-    sink += RecordChurn(kObjects, static_cast<int>(depth) + 1,
-                        [&](size_t i) -> WriteHistory& { return arena.at(i); });
-    sink += RecordChurn(kObjects, static_cast<int>(depth) + 1,
-                        [&](size_t i) -> WriteHistory& { return legacy.at(i); });
+    // Never written: every lookup answers from the record alone.
+    ObjectStore fresh(opt);
+    const double fresh_scan = MinOfN(reps, scan_ops, [&] {
+      sink += ProperScan(fresh, scan_rounds);
+    });
+    table.AddRow({"proper-scan (no rings)", Table::Int(x),
+                  Table::Num(fresh_scan / 1e6)});
+    report.AddPoint("proper_scan_unwritten", x, Point(fresh_scan));
 
-    const double arena_record = MinOfN(reps, record_ops, [&] {
-      sink += RecordChurn(kObjects, record_rounds,
-                          [&](size_t i) -> WriteHistory& { return arena.at(i); });
+    // Every object written to steady state (full rings) before timing.
+    ObjectStore store(opt);
+    int64_t ts = 1;
+    sink += CommitChurn(store, static_cast<int>(depth) + 1, &ts);
+    const double record = MinOfN(reps, record_ops, [&] {
+      sink += CommitChurn(store, record_rounds, &ts);
     });
-    const double legacy_record = MinOfN(reps, record_ops, [&] {
-      sink += RecordChurn(kObjects, record_rounds,
-                          [&](size_t i) -> WriteHistory& { return legacy.at(i); });
-    });
-    table.AddRow({"record", Table::Int(static_cast<double>(depth)),
-                  Table::Num(arena_record / 1e6),
-                  Table::Num(legacy_record / 1e6),
-                  Table::Num(arena_record / legacy_record)});
-    report.AddPoint("record_arena", static_cast<double>(depth),
-                    Point(arena_record));
-    report.AddPoint("record_per_object", static_cast<double>(depth),
-                    Point(legacy_record));
+    table.AddRow({"record", Table::Int(x), Table::Num(record / 1e6)});
+    report.AddPoint("record", x, Point(record));
 
-    const double arena_scan = MinOfN(reps, scan_ops, [&] {
-      sink += ProperScan(kObjects, scan_rounds,
-                         [&](size_t i) -> WriteHistory& { return arena.at(i); });
+    const double scan = MinOfN(reps, scan_ops, [&] {
+      sink += ProperScan(store, scan_rounds);
     });
-    const double legacy_scan = MinOfN(reps, scan_ops, [&] {
-      sink += ProperScan(kObjects, scan_rounds,
-                         [&](size_t i) -> WriteHistory& { return legacy.at(i); });
-    });
-    table.AddRow({"proper-scan", Table::Int(static_cast<double>(depth)),
-                  Table::Num(arena_scan / 1e6),
-                  Table::Num(legacy_scan / 1e6),
-                  Table::Num(arena_scan / legacy_scan)});
-    report.AddPoint("proper_scan_arena", static_cast<double>(depth),
-                    Point(arena_scan));
-    report.AddPoint("proper_scan_per_object", static_cast<double>(depth),
-                    Point(legacy_scan));
+    table.AddRow({"proper-scan", Table::Int(x), Table::Num(scan / 1e6)});
+    report.AddPoint("proper_scan", x, Point(scan));
+
+    // Ring bytes as the pool handed them out, per written object.
+    const double never_written = sizeof(ObjectRecord);
+    const double written =
+        never_written +
+        static_cast<double>(store.history_rings() * depth *
+                            sizeof(WriteHistory::Entry)) /
+            static_cast<double>(kObjects);
+    bytes.AddRow({Table::Int(x), Table::Int(never_written),
+                  Table::Int(written)});
+    report.AddPoint("bytes_never_written", x, Point(never_written));
+    report.AddPoint("bytes_written", x, Point(written));
   }
 
-  // Absolute end-to-end sanity point: the real ObjectStore's load path
-  // (populate + seed histories) at the paper's size.
+  // Absolute end-to-end sanity point: the real ObjectStore's load path at
+  // the paper's size.
   {
     ObjectStoreOptions opt;
     opt.num_objects = kObjects;
@@ -196,13 +163,15 @@ int main(int argc, char** argv) {
         sink += static_cast<uint64_t>(store.TotalValue());
       }
     });
-    std::printf("store load+seed: %.1f stores/s (%zu objects each)\n\n",
+    std::printf("store load: %.1f stores/s (%zu objects each)\n\n",
                 load_rate, kObjects);
     report.AddPoint("store_load", static_cast<double>(kObjects),
                     Point(load_rate));
   }
 
   table.Print();
+  std::printf("\n");
+  bytes.Print();
   if (sink == 0) std::printf("(impossible sink)\n");
 
   const std::string json_path = JsonReport::PathFromArgs(argc, argv);

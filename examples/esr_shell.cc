@@ -87,6 +87,13 @@ bool HandleMeta(const std::string& line, esr::Database* db) {
       std::printf("usage: \\assign <object id> <group-name>\n");
       return true;
     }
+    // The schema's object map is dense in ObjectId: refuse ids outside
+    // the database rather than grow it to reach them.
+    const auto present = db->PeekValue(id);
+    if (!present.ok()) {
+      std::printf("%s\n", present.status().ToString().c_str());
+      return true;
+    }
     const auto group_id = db->schema().FindGroup(group);
     if (!group_id.ok()) {
       std::printf("%s\n", group_id.status().ToString().c_str());

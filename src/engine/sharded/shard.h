@@ -47,7 +47,7 @@ struct CommitLogEntry {
 };
 
 /// One partition of the sharded engine: a private latch, a dense local
-/// ObjectStore slice (arena-backed histories included), the data manager
+/// ObjectStore slice (with its own history-ring pool), the data manager
 /// measuring divergence against it, per-shard bound-check counters (the
 /// shared BoundCheckStats is not internally synchronized, so each shard
 /// owns one resolving into the same registry), and the multi-field stats

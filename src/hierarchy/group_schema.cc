@@ -31,6 +31,9 @@ Status GroupSchema::AssignObject(ObjectId object, GroupId group) {
   if (!Contains(group)) {
     return Status::NotFound("group " + std::to_string(group));
   }
+  if (object >= object_groups_.size()) {
+    object_groups_.resize(static_cast<size_t>(object) + 1, kRootGroup);
+  }
   object_groups_[object] = group;
   return Status::OK();
 }
@@ -55,8 +58,7 @@ Result<GroupId> GroupSchema::FindGroup(const std::string& name) const {
 }
 
 GroupId GroupSchema::GroupOf(ObjectId object) const {
-  const GroupId* group = object_groups_.Find(object);
-  return group == nullptr ? kRootGroup : *group;
+  return object < object_groups_.size() ? object_groups_[object] : kRootGroup;
 }
 
 std::vector<GroupId> GroupSchema::PathToRoot(ObjectId object) const {

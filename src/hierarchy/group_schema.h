@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/result.h"
 #include "common/types.h"
 
@@ -40,7 +39,7 @@ class GroupSchema {
 
   /// Places an object under a group. Objects not assigned anywhere hang
   /// directly off the root. Reassignment is allowed before execution
-  /// starts.
+  /// starts. The map is dense in ObjectId, so ids should be small.
   Status AssignObject(ObjectId object, GroupId group);
 
   /// Relative weight of a group: the inconsistency charged to a node is
@@ -72,9 +71,9 @@ class GroupSchema {
   std::vector<std::string> names_;
   std::vector<double> weights_;
   std::unordered_map<std::string, GroupId> by_name_;
-  // On the accumulator charge path (GroupOf per TryCharge); flat layout
-  // keeps the lookup to one probe.
-  FlatMap<ObjectId, GroupId> object_groups_;
+  // On the accumulator charge path (GroupOf per TryCharge): indexed by
+  // ObjectId, grown by AssignObject; ids past the end are in the root.
+  std::vector<GroupId> object_groups_;
 };
 
 }  // namespace esr

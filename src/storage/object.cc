@@ -6,23 +6,6 @@
 
 namespace esr {
 
-ObjectRecord::ObjectRecord(ObjectId id, Value initial_value,
-                           size_t history_depth)
-    : id_(id), value_(initial_value), history_(history_depth) {
-  // Seed the history with the load-time value so that a query older than
-  // every subsequent write still finds a proper value.
-  history_.Record(Timestamp::Min(), initial_value);
-}
-
-ObjectRecord::ObjectRecord(ObjectId id, Value initial_value,
-                           WriteHistory::Entry* history_slots,
-                           size_t history_depth)
-    : id_(id),
-      value_(initial_value),
-      history_(history_slots, history_depth) {
-  history_.Record(Timestamp::Min(), initial_value);
-}
-
 void ObjectRecord::NoteQueryRead(Timestamp ts) {
   query_read_ts_ = std::max(query_read_ts_, ts);
 }
@@ -50,6 +33,9 @@ void ObjectRecord::ApplyWrite(TxnId txn, Timestamp ts, Value new_value) {
 
 void ObjectRecord::CommitWrite(TxnId txn) {
   ESR_CHECK(writer_ == txn) << "commit by non-writer on object " << id_;
+  // The ring starts with the load value (this first writer's shadow) at
+  // Timestamp::Min(), so it counts against the depth as it always did.
+  if (history_.empty()) history_.Record(Timestamp::Min(), shadow_value_);
   history_.Record(pending_write_ts_, value_);
   writer_ = kInvalidTxnId;
 }
@@ -77,7 +63,11 @@ void ObjectRecord::UnregisterQueryReader(TxnId txn) {
 }
 
 std::optional<Value> ObjectRecord::ProperValueFor(Timestamp query_ts) const {
-  return history_.ProperValueBefore(query_ts);
+  if (!history_.empty()) return history_.ProperValueBefore(query_ts);
+  // No committed write yet: the load value, held in the shadow while a
+  // first writer is pending.
+  if (!(Timestamp::Min() < query_ts)) return std::nullopt;
+  return writer_ == kInvalidTxnId ? value_ : shadow_value_;
 }
 
 }  // namespace esr

@@ -27,11 +27,12 @@ class ObjectRecord {
 
   ObjectRecord() : ObjectRecord(kInvalidObjectId, 0, WriteHistory::kDefaultDepth) {}
   /// Standalone record owning its history ring (tests, ad-hoc use).
-  ObjectRecord(ObjectId id, Value initial_value, size_t history_depth);
-  /// Record whose history ring views `history_slots[0, history_depth)` in
-  /// the store's HistoryArena (must outlive the record).
-  ObjectRecord(ObjectId id, Value initial_value,
-               WriteHistory::Entry* history_slots, size_t history_depth);
+  ObjectRecord(ObjectId id, Value initial_value, size_t history_depth)
+      : history_(history_depth), id_(id), value_(initial_value) {}
+  /// Record whose history ring comes from the store's `history_pool` at
+  /// its first committed write (the pool must outlive the record).
+  ObjectRecord(ObjectId id, Value initial_value, HistoryPool* history_pool)
+      : history_(history_pool), id_(id), value_(initial_value) {}
 
   ObjectId id() const { return id_; }
 
@@ -71,7 +72,8 @@ class ObjectRecord {
   void ApplyWrite(TxnId txn, Timestamp ts, Value new_value);
 
   /// Commits the pending write of `txn`: discards the shadow and enters
-  /// the write into the history used for proper-value lookups.
+  /// the write into the history used for proper-value lookups. The first
+  /// committed write gives the history its ring.
   void CommitWrite(TxnId txn);
 
   /// Aborts the pending write of `txn`: restores the shadow value and the
@@ -91,12 +93,17 @@ class ObjectRecord {
   // -- Proper value lookup (import control, Sec. 5.1) ---------------------
   /// Proper value for a query with timestamp `query_ts`: last committed
   /// write older than the query, from the bounded history. nullopt if the
-  /// history no longer reaches back that far.
+  /// history no longer reaches back that far. Until the first committed
+  /// write the only entry is the load value, at Timestamp::Min().
   std::optional<Value> ProperValueFor(Timestamp query_ts) const;
 
+  /// Committed writes; empty (no ring, no load-value entry) until the
+  /// first committed write.
   const WriteHistory& history() const { return history_; }
 
  private:
+  // First, so that id_ fills the tail padding after the history's 12 bytes.
+  [[no_unique_address]] WriteHistory history_;
   ObjectId id_;
   Value value_;
   Inconsistency oil_ = kUnbounded;
@@ -113,7 +120,6 @@ class ObjectRecord {
   Timestamp pending_write_ts_ = Timestamp::Min();
 
   std::vector<QueryReader> query_readers_;
-  WriteHistory history_;
 };
 
 }  // namespace esr

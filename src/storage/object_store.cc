@@ -1,11 +1,16 @@
 #include "storage/object_store.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace esr {
 namespace {
+
+// Rings per pool block: 256 x 20 entries x 24 B = 120 KiB at the paper's
+// depth. Small stores get one block sized to fit them.
+constexpr size_t kRingsPerBlock = 256;
 
 // Uniform draw from an inconsistency range that may include kUnbounded.
 Inconsistency SampleLimit(Rng* rng, Inconsistency lo, Inconsistency hi) {
@@ -19,19 +24,21 @@ Inconsistency SampleLimit(Rng* rng, Inconsistency lo, Inconsistency hi) {
 ObjectStore::ObjectStore(const ObjectStoreOptions& options)
     : options_(options),
       rng_(options.seed),
-      history_arena_(options.num_objects, options.history_depth) {
+      history_pool_(options.history_depth,
+                    std::min(options.num_objects, kRingsPerBlock)) {
   ESR_CHECK(options_.num_objects > 0);
   ESR_CHECK(options_.min_value <= options_.max_value);
-  ESR_CHECK(options_.history_depth >= 1);
+  ESR_CHECK(options_.history_depth >= 1 &&
+            options_.history_depth <= WriteHistory::kMaxDepth)
+      << "history depth " << options_.history_depth << " outside [1, "
+      << WriteHistory::kMaxDepth << "]";
   objects_.reserve(options_.num_objects);
   for (size_t i = 0; i < options_.num_objects; ++i) {
     const Value v = rng_.UniformInt(options_.min_value, options_.max_value);
-    const ObjectId id = static_cast<ObjectId>(i);
-    ObjectRecord rec(id, v, history_arena_.SlotFor(id),
-                     options_.history_depth);
+    ObjectRecord& rec =
+        objects_.emplace_back(static_cast<ObjectId>(i), v, &history_pool_);
     rec.set_oil(SampleLimit(&rng_, options_.min_oil, options_.max_oil));
     rec.set_oel(SampleLimit(&rng_, options_.min_oel, options_.max_oel));
-    objects_.push_back(std::move(rec));
   }
 }
 

@@ -33,14 +33,18 @@ struct ObjectStoreOptions {
   uint64_t seed = 42;
 };
 
-/// The main-memory database: a dense array of `ObjectRecord`s whose write
-/// histories all live in one contiguous HistoryArena (ring i = object i),
-/// so the proper-value hot path walks flat memory instead of per-object
-/// heap vectors. Writing an object changes its value in memory;
-/// durability is out of scope, exactly as in the prototype (Sec. 6).
+/// The main-memory database: a dense array of `ObjectRecord`s. A record's
+/// write-history ring comes from the store's HistoryPool at its first
+/// committed write, so objects that are never written cost no ring.
+/// Writing an object changes its value in memory; durability is out of
+/// scope, exactly as in the prototype (Sec. 6).
 class ObjectStore {
  public:
   explicit ObjectStore(const ObjectStoreOptions& options);
+
+  // Records point at history_pool_, so the store stays where it was built.
+  ObjectStore(const ObjectStore&) = delete;
+  ObjectStore& operator=(const ObjectStore&) = delete;
 
   size_t size() const { return objects_.size(); }
 
@@ -64,12 +68,15 @@ class ObjectStore {
 
   const ObjectStoreOptions& options() const { return options_; }
 
+  /// History rings handed out: one per object with a committed write.
+  size_t history_rings() const { return history_pool_.rings_in_use(); }
+
  private:
   ObjectStoreOptions options_;
   Rng rng_;
-  // Declared before objects_: every record's history views a slice of the
-  // arena, so the arena must be constructed first and destroyed last.
-  HistoryArena history_arena_;
+  // Declared before objects_: records hold pointers to the pool and into
+  // its blocks, so it must be constructed first and destroyed last.
+  HistoryPool history_pool_;
   std::vector<ObjectRecord> objects_;
 };
 

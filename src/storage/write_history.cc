@@ -4,47 +4,43 @@
 
 namespace esr {
 
-WriteHistory::WriteHistory(size_t depth) : depth_(depth), owned_(depth) {
-  assert(depth_ >= 1);
-  base_ = owned_.data();
+WriteHistory::WriteHistory(size_t depth)
+    : word_{nullptr}, depth_(static_cast<uint8_t>(depth)) {
+  assert(depth >= 1 && depth <= kMaxDepth);
 }
 
-WriteHistory::WriteHistory(Entry* slots, size_t depth)
-    : base_(slots), depth_(depth) {
-  assert(base_ != nullptr);
-  assert(depth_ >= 1);
+WriteHistory::WriteHistory(HistoryPool* pool)
+    : word_{pool}, depth_(static_cast<uint8_t>(pool->depth())) {
+  assert(pool->depth() >= 1 && pool->depth() <= kMaxDepth);
+}
+
+WriteHistory::~WriteHistory() {
+  if (owns_ring_) delete[] word_.ring;
 }
 
 WriteHistory::WriteHistory(WriteHistory&& other) noexcept
-    : base_(other.base_),
+    : word_(other.word_),
       depth_(other.depth_),
       start_(other.start_),
       count_(other.count_),
-      owned_(std::move(other.owned_)) {
-  // A standalone history's ring lives in owned_, whose heap buffer just
-  // changed hands; re-point at it. Arena-backed views keep their pointer.
-  if (!owned_.empty()) base_ = owned_.data();
+      owns_ring_(other.owns_ring_) {
+  // The ring changed hands; leave `other` an empty standalone history.
+  other.word_.pool = nullptr;
   other.count_ = 0;
-}
-
-WriteHistory& WriteHistory::operator=(WriteHistory&& other) noexcept {
-  if (this == &other) return *this;
-  base_ = other.base_;
-  depth_ = other.depth_;
-  start_ = other.start_;
-  count_ = other.count_;
-  owned_ = std::move(other.owned_);
-  if (!owned_.empty()) base_ = owned_.data();
-  other.count_ = 0;
-  return *this;
+  other.owns_ring_ = false;
 }
 
 void WriteHistory::Record(Timestamp ts, Value value) {
+  if (count_ == 0) {  // first write: take the ring
+    HistoryPool* pool = word_.pool;
+    owns_ring_ = pool == nullptr;
+    word_.ring = owns_ring_ ? new Entry[depth_] : pool->Allocate();
+  }
   // Common case: newest write, appended in order.
   if (count_ == 0 || At(count_ - 1).ts < ts) {
     if (count_ == depth_) {
       // Full ring: the oldest slot becomes the newest entry.
-      base_[start_] = Entry{ts, value};
+      word_.ring[start_] = Entry{ts, value};
       start_ = (start_ + 1) % depth_;
     } else {
       At(count_) = Entry{ts, value};
@@ -93,6 +89,15 @@ std::vector<WriteHistory::Entry> WriteHistory::entries() const {
   out.reserve(count_);
   for (size_t i = 0; i < count_; ++i) out.push_back(At(i));
   return out;
+}
+
+WriteHistory::Entry* HistoryPool::Allocate() {
+  const size_t slot = rings_in_use_++ % rings_per_block_;
+  if (slot == 0) {
+    blocks_.push_back(
+        std::make_unique<WriteHistory::Entry[]>(rings_per_block_ * depth_));
+  }
+  return blocks_.back().get() + slot * depth_;
 }
 
 }  // namespace esr

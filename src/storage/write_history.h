@@ -2,6 +2,8 @@
 #define ESR_STORAGE_WRITE_HISTORY_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -9,6 +11,8 @@
 #include "common/types.h"
 
 namespace esr {
+
+class HistoryPool;
 
 /// Bounded record of the most recent writes to one object, used to find a
 /// query's *proper value* — "the value written by the last write with a
@@ -18,12 +22,13 @@ namespace esr {
 /// duration / update duration); the depth is configurable here and swept
 /// by the `micro_history_depth` ablation bench.
 ///
-/// Storage is a fixed ring of `depth` entries, kept sorted by timestamp
-/// (strict TO commits nearly, but not exactly, in ts order). The ring
-/// normally views a slice of the store-wide HistoryArena — one contiguous
-/// allocation for every object's history, so proper-value scans touch
-/// adjacent cache lines instead of chasing per-object vectors. A history
-/// constructed standalone (tests, ad-hoc records) owns its slice.
+/// Storage is a ring of `depth` entries, kept sorted by timestamp (strict
+/// TO commits nearly, but not exactly, in ts order). The ring is taken at
+/// the first Record: a store's histories draw it from the store's
+/// HistoryPool, a standalone history (tests, ad-hoc records) allocates and
+/// owns it. Until then the history is empty and holds 12 bytes — the ring
+/// word and a header of 8-bit start, count and depth plus an ownership
+/// flag — so an object never written pays no ring.
 ///
 /// This is NOT multiversion timestamp ordering: reads always return the
 /// object's current (present) value; the history is consulted only to
@@ -36,18 +41,21 @@ class WriteHistory {
   };
 
   static constexpr size_t kDefaultDepth = 20;
+  /// The ring header (start, count, depth) is 8 bits wide.
+  static constexpr size_t kMaxDepth = UINT8_MAX;
 
-  /// Standalone history owning its `depth` ring slots; must be >= 1.
+  /// Standalone history that allocates and owns its `depth`-slot ring;
+  /// 1 <= depth <= kMaxDepth.
   explicit WriteHistory(size_t depth = kDefaultDepth);
 
-  /// Arena-backed view over `slots[0, depth)`; the arena must outlive
-  /// this object and the slice must not be shared.
-  WriteHistory(Entry* slots, size_t depth);
+  /// History whose ring comes from `pool`, which must outlive it.
+  explicit WriteHistory(HistoryPool* pool);
 
+  ~WriteHistory();
   WriteHistory(const WriteHistory&) = delete;
   WriteHistory& operator=(const WriteHistory&) = delete;
   WriteHistory(WriteHistory&& other) noexcept;
-  WriteHistory& operator=(WriteHistory&& other) noexcept;
+  WriteHistory& operator=(WriteHistory&& other) = delete;
 
   /// Records a committed write, keeping the ring sorted by timestamp;
   /// once full, the oldest retained write is evicted. A write older than
@@ -68,6 +76,7 @@ class WriteHistory {
 
   size_t size() const { return count_; }
   size_t depth() const { return depth_; }
+  /// Empty exactly until the first Record, which takes the ring.
   bool empty() const { return count_ == 0; }
 
   /// Oldest-to-newest copy, for tests and debugging (the ring itself is
@@ -76,41 +85,45 @@ class WriteHistory {
 
  private:
   // i-th retained entry in logical (oldest-to-newest) order.
-  Entry& At(size_t i) { return base_[(start_ + i) % depth_]; }
-  const Entry& At(size_t i) const { return base_[(start_ + i) % depth_]; }
+  Entry& At(size_t i) { return word_.ring[(start_ + i) % depth_]; }
+  const Entry& At(size_t i) const {
+    return word_.ring[(start_ + i) % depth_];
+  }
 
-  Entry* base_;
-  size_t depth_;
-  size_t start_ = 0;  // ring index of the oldest retained entry
-  size_t count_ = 0;
-  // Backing storage for standalone histories; empty when arena-backed.
-  std::vector<Entry> owned_;
+  union {
+    HistoryPool* pool;  // while empty: the ring's source (null: standalone)
+    Entry* ring;        // from the first Record on
+  } word_;
+  uint8_t depth_;
+  uint8_t start_ = 0;  // ring index of the oldest retained entry
+  uint8_t count_ = 0;
+  bool owns_ring_ = false;
 };
 
-/// One contiguous allocation holding every object's write-history ring,
-/// indexed by ObjectId: slot i covers entries [i * depth, (i+1) * depth).
-/// Replaces per-object vector allocations so a store-wide scan (or the
-/// hot proper-value lookups of neighboring objects) stays in one arena.
-class HistoryArena {
+/// Ring storage for one store's write histories: blocks of
+/// `rings_per_block` rings of `depth` entries, handed out one ring per
+/// object at its first committed write. Blocks never move, so a ring stays
+/// valid for the pool's lifetime. Unsynchronized: a store, and so its pool,
+/// is only touched under the latch that guards it.
+class HistoryPool {
  public:
-  HistoryArena(size_t num_objects, size_t depth)
-      : depth_(depth), entries_(num_objects * depth) {}
+  HistoryPool(size_t depth, size_t rings_per_block)
+      : depth_(depth), rings_per_block_(rings_per_block) {}
 
-  HistoryArena(const HistoryArena&) = delete;
-  HistoryArena& operator=(const HistoryArena&) = delete;
+  HistoryPool(const HistoryPool&) = delete;
+  HistoryPool& operator=(const HistoryPool&) = delete;
 
   size_t depth() const { return depth_; }
-  size_t num_objects() const { return depth_ == 0 ? 0 : entries_.size() / depth_; }
+  size_t rings_in_use() const { return rings_in_use_; }
 
-  /// The ring slice for `id`; valid for the arena's lifetime (the arena
-  /// never reallocates).
-  WriteHistory::Entry* SlotFor(ObjectId id) {
-    return entries_.data() + static_cast<size_t>(id) * depth_;
-  }
+  /// A fresh `depth`-entry ring.
+  WriteHistory::Entry* Allocate();
 
  private:
   size_t depth_;
-  std::vector<WriteHistory::Entry> entries_;
+  size_t rings_per_block_;
+  size_t rings_in_use_ = 0;
+  std::vector<std::unique_ptr<WriteHistory::Entry[]>> blocks_;
 };
 
 }  // namespace esr

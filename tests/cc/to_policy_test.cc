@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 namespace esr {
 namespace {
 
@@ -194,11 +197,18 @@ TEST(AbortReasonTest, AllReasonsHaveNames) {
 // The wait-for relation always points from newer to older timestamps, so
 // the wait graph is acyclic and timestamp-ordering with waits is
 // deadlock-free. Parameterized check across both op kinds.
+//
+// gtest names each case by the raw bytes of its parameter, so WaitCase
+// carries no padding (checked below): a `bool` followed by seven padding
+// bytes gave the discovered test names a different suffix on every run.
+enum class OpKind : int64_t { kWrite = 0, kRead = 1 };
+
 struct WaitCase {
-  bool read;
+  OpKind op;
   int64_t requester_ts;
   int64_t writer_ts;
 };
+static_assert(std::has_unique_object_representations_v<WaitCase>);
 
 class WaitDirectionTest : public ::testing::TestWithParam<WaitCase> {};
 
@@ -207,7 +217,7 @@ TEST_P(WaitDirectionTest, WaitOnlyForOlderWriters) {
   ObjectRecord obj = FreshObject();
   obj.ApplyWrite(9, Ts(c.writer_ts), 1100);
   const bool requester_newer = c.requester_ts > c.writer_ts;
-  if (c.read) {
+  if (c.op == OpKind::kRead) {
     const ReadDecision d = DecideRead(Update(2, c.requester_ts), obj);
     EXPECT_EQ(d == ReadDecision::kWait, requester_newer);
   } else {
@@ -218,9 +228,12 @@ TEST_P(WaitDirectionTest, WaitOnlyForOlderWriters) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, WaitDirectionTest,
-    ::testing::Values(WaitCase{true, 60, 50}, WaitCase{true, 40, 50},
-                      WaitCase{false, 60, 50}, WaitCase{false, 40, 50},
-                      WaitCase{true, 51, 50}, WaitCase{false, 49, 50}));
+    ::testing::Values(WaitCase{OpKind::kRead, 60, 50},
+                      WaitCase{OpKind::kRead, 40, 50},
+                      WaitCase{OpKind::kWrite, 60, 50},
+                      WaitCase{OpKind::kWrite, 40, 50},
+                      WaitCase{OpKind::kRead, 51, 50},
+                      WaitCase{OpKind::kWrite, 49, 50}));
 
 }  // namespace
 }  // namespace esr

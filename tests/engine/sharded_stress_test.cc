@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/sharded/session.h"
@@ -45,18 +46,53 @@ namespace {
 constexpr size_t kObjects = 240;
 constexpr size_t kGroups = 6;
 
+// Configuration label. gtest names each case by ConfigName, but the ctest
+// name that gtest_discover_tests registers also carries the parameter as
+// gtest prints it, which for this struct is its raw bytes. StressConfig
+// therefore holds no pointer and no padding (checked below): a
+// `const char*` label (address-space layout randomisation) and the padding
+// after narrow fields gave the ctest names a different suffix on every run.
+enum class Label : uint64_t {
+  kOneShardMpl16,
+  kFourShardMpl32SeedA,
+  kFourShardMpl32SeedB,
+  kFourShardMpl32SeedC,
+  kSixteenShardMpl64,
+  kSharedBudgetMpl32,
+  kHighMpl256,
+};
+
+const char* LabelName(Label label) {
+  switch (label) {
+    case Label::kOneShardMpl16: return "OneShardMpl16";
+    case Label::kFourShardMpl32SeedA: return "FourShardMpl32SeedA";
+    case Label::kFourShardMpl32SeedB: return "FourShardMpl32SeedB";
+    case Label::kFourShardMpl32SeedC: return "FourShardMpl32SeedC";
+    case Label::kSixteenShardMpl64: return "SixteenShardMpl64";
+    case Label::kSharedBudgetMpl32: return "SharedBudgetMpl32";
+    case Label::kHighMpl256: return "HighMpl256";
+  }
+  return "Unknown";
+}
+
+/// What a configuration adds on top of the base mixed workload.
+enum class Variant : uint64_t {
+  kPlain,
+  /// Install an engine-wide shared epsilon budget on top of the
+  /// per-transaction declarations.
+  kSharedBounds,
+  /// Shrink scripts so the MPL-256 run stays inside the trace ring.
+  kSmallTxns,
+};
+
 struct StressConfig {
-  const char* name;
+  Label label;
   size_t shards;
   size_t sessions;  // MPL
   size_t workers;
-  int txns_per_session;
+  int64_t txns_per_session;
   uint64_t seed;
-  /// Install an engine-wide shared epsilon budget on top of the
-  /// per-transaction declarations.
-  bool shared_bounds = false;
-  /// Shrink scripts so the MPL-256 run stays inside the trace ring.
-  bool small_txns = false;
+  Variant variant = Variant::kPlain;
   /// Object population and write hot-set width. The MPL-256 run widens
   /// both: 256 zero-think-time sessions against a 20-object hot set
   /// generate enough abort/retry probe events to wrap the global trace
@@ -64,9 +100,10 @@ struct StressConfig {
   size_t objects = kObjects;
   size_t hot_set = 20;
 };
+static_assert(std::has_unique_object_representations_v<StressConfig>);
 
 std::string ConfigName(const ::testing::TestParamInfo<StressConfig>& info) {
-  return info.param.name;
+  return LabelName(info.param.label);
 }
 
 class ShardedStressTest : public ::testing::TestWithParam<StressConfig> {};
@@ -100,7 +137,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
   WorkloadSpec spec;
   spec.num_objects = cfg.objects;
   spec.hot_set_size = cfg.hot_set;
-  if (cfg.small_txns) {
+  if (cfg.variant == Variant::kSmallTxns) {
     spec.query_ops_min = 6;
     spec.query_ops_max = 10;
     spec.update_ops_min = 3;
@@ -120,7 +157,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
     return bounds;
   };
 
-  if (cfg.shared_bounds) {
+  if (cfg.variant == Variant::kSharedBounds) {
     BoundSpec shared_import;
     shared_import.SetTransactionLimit(kTil * 4);
     for (const GroupId g : groups) shared_import.SetLimit(g, kTil * 2);
@@ -136,7 +173,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
 
   SessionPoolOptions pool;
   pool.sessions = cfg.sessions;
-  pool.txns_per_session = cfg.txns_per_session;
+  pool.txns_per_session = static_cast<int>(cfg.txns_per_session);
   pool.workers = cfg.workers;
   pool.seed = cfg.seed;
   const SessionPoolResult result = RunSessionWorkers(&server, spec, pool);
@@ -181,7 +218,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
   StreamCertifierOptions cert_opt;
   cert_opt.window_s = 0.05;
   cert_opt.epoch_micros = min_ts;
-  cert_opt.source = cfg.name;
+  cert_opt.source = LabelName(cfg.label);
   StreamCertifier certifier(cert_opt);
   for (const TraceEvent& event : events) certifier.Observe(event);
   certifier.AdvanceTo(max_ts + 100'000);
@@ -229,7 +266,7 @@ TEST_P(ShardedStressTest, BoundsHoldUnderConcurrency) {
 
   // -- Shared budgets fully refunded at quiescence (charge/uncharge are
   //    exact inverses per transaction). ----------------------------------
-  if (cfg.shared_bounds) {
+  if (cfg.variant == Variant::kSharedBounds) {
     EXPECT_NEAR(engine->shared_import()->total(), 0.0, 1e-6);
     EXPECT_NEAR(engine->shared_export()->total(), 0.0, 1e-6);
     for (const GroupId g : groups) {
@@ -256,36 +293,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Single shard: the degenerate case, everything serializes on one
         // latch but group commit still batches.
-        StressConfig{"OneShardMpl16", 1, 16, 4, 30, 11},
+        StressConfig{Label::kOneShardMpl16, 1, 16, 4, 30, 11},
         // The mid configuration, re-run under three seeds (the TSan CI
         // job replays these). Slightly wider hot set than the default:
         // when the host is oversubscribed (parallel ctest, TSan's
         // slowdown) the run stretches and the extra abort-retry probes
         // on a 20-object hot set can wrap the trace ring.
-        StressConfig{"FourShardMpl32SeedA", 4, 32, 8, 25, 11,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
+        StressConfig{Label::kFourShardMpl32SeedA, 4, 32, 8, 25, 11,
+                     Variant::kPlain,
                      /*objects=*/480, /*hot_set=*/60},
-        StressConfig{"FourShardMpl32SeedB", 4, 32, 8, 25, 12,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
+        StressConfig{Label::kFourShardMpl32SeedB, 4, 32, 8, 25, 12,
+                     Variant::kPlain,
                      /*objects=*/480, /*hot_set=*/60},
-        StressConfig{"FourShardMpl32SeedC", 4, 32, 8, 25, 13,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
+        StressConfig{Label::kFourShardMpl32SeedC, 4, 32, 8, 25, 13,
+                     Variant::kPlain,
                      /*objects=*/480, /*hot_set=*/60},
         // Wide sharding with one worker per shard. Wider hot set: under
         // TSan's ~10x slowdown the thread interleavings stretch out and
         // the default 20-object hot set generates enough abort-retry
         // probes to wrap the trace ring.
-        StressConfig{"SixteenShardMpl64", 16, 64, 16, 12, 14,
-                     /*shared_bounds=*/false, /*small_txns=*/false,
+        StressConfig{Label::kSixteenShardMpl64, 16, 64, 16, 12, 14,
+                     Variant::kPlain,
                      /*objects=*/480, /*hot_set=*/80},
         // Engine-wide shared epsilon budget on top of per-txn bounds.
-        StressConfig{"SharedBudgetMpl32", 4, 32, 8, 20, 15,
-                     /*shared_bounds=*/true},
+        StressConfig{Label::kSharedBudgetMpl32, 4, 32, 8, 20, 15,
+                     Variant::kSharedBounds},
         // MPL 256: a thundering herd of sessions over 16 workers; small
         // scripts plus a wider population/hot set keep the abort-retry
         // event volume inside the trace ring.
-        StressConfig{"HighMpl256", 8, 256, 16, 3, 16,
-                     /*shared_bounds=*/false, /*small_txns=*/true,
+        StressConfig{Label::kHighMpl256, 8, 256, 16, 3, 16,
+                     Variant::kSmallTxns,
                      /*objects=*/960, /*hot_set=*/120}),
     ConfigName);
 

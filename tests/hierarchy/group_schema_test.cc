@@ -90,6 +90,20 @@ TEST(GroupSchemaTest, ReassignmentMovesObject) {
   EXPECT_EQ(schema.GroupOf(1), b);
 }
 
+TEST(GroupSchemaTest, UnassignedObjectsAroundAnAssignedOneStayAtRoot) {
+  GroupSchema schema;
+  const GroupId g = *schema.AddGroup("g", kRootGroup);
+  EXPECT_EQ(schema.AssignObject(1, 99).code(), StatusCode::kNotFound);
+  EXPECT_EQ(schema.GroupOf(1), kRootGroup);  // a refused assignment
+  ASSERT_TRUE(schema.AssignObject(5, g).ok());
+  EXPECT_EQ(schema.GroupOf(5), g);
+  for (ObjectId id : {0u, 1u, 4u, 6u, 1000u}) {
+    EXPECT_EQ(schema.GroupOf(id), kRootGroup) << "object " << id;
+  }
+  ASSERT_TRUE(schema.AssignObject(5, kRootGroup).ok());
+  EXPECT_EQ(schema.PathToRoot(5), std::vector<GroupId>{kRootGroup});
+}
+
 TEST(GroupSchemaTest, WeightsDefaultToOneAndValidate) {
   GroupSchema schema;
   const GroupId g = *schema.AddGroup("g", kRootGroup);

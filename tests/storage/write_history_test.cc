@@ -121,12 +121,12 @@ TEST(WriteHistoryTest, ExactlyOldestTimestampHitsWhileRingHasRoom) {
 }
 
 TEST(WriteHistoryTest, ArenaBackedDepthOneWrapsInPlace) {
-  // Depth-1 ring over an arena slice: every Record overwrites the single
-  // slot (start_ never moves past it), and the neighboring object's slice
-  // must stay untouched.
-  HistoryArena arena(/*num_objects=*/2, /*depth=*/1);
-  WriteHistory h0(arena.SlotFor(0), 1);
-  WriteHistory h1(arena.SlotFor(1), 1);
+  // Depth-1 rings from one pool block: every Record overwrites the single
+  // slot (start_ never moves past it), and the neighboring ring, adjacent
+  // in the block, must stay untouched.
+  HistoryPool pool(/*depth=*/1, /*rings_per_block=*/2);
+  WriteHistory h0(&pool);
+  WriteHistory h1(&pool);
   h1.Record(Ts(5), 555);
   for (int i = 1; i <= 10; ++i) h0.Record(Ts(i * 10), i);
   EXPECT_EQ(h0.size(), 1u);
@@ -136,16 +136,18 @@ TEST(WriteHistoryTest, ArenaBackedDepthOneWrapsInPlace) {
   // Stale write older than the sole retained entry is dropped outright.
   h0.Record(Ts(15), 99);
   EXPECT_EQ(h0.ProperValueBefore(Ts(1000)).value(), 10);
-  // Neighbor slice is unperturbed by object 0's churn.
+  // Neighbor ring is unperturbed by object 0's churn.
   EXPECT_EQ(h1.ProperValueBefore(Ts(6)).value(), 555);
-  EXPECT_EQ(arena.SlotFor(1)[0].value, 555);
+  ASSERT_EQ(h1.entries().size(), 1u);
+  EXPECT_EQ(h1.entries()[0].value, 555);
+  EXPECT_EQ(pool.rings_in_use(), 2u);
 }
 
 TEST(WriteHistoryTest, ArenaBackedRingWrapsPastPhysicalEnd) {
-  // Enough records to cycle start_ around the physical slice several
+  // Enough records to cycle start_ around the physical ring several
   // times; logical order and lookups must be oblivious to the wrap.
-  HistoryArena arena(/*num_objects=*/1, /*depth=*/4);
-  WriteHistory h(arena.SlotFor(0), 4);
+  HistoryPool pool(/*depth=*/4, /*rings_per_block=*/1);
+  WriteHistory h(&pool);
   for (int i = 1; i <= 11; ++i) h.Record(Ts(i * 10), i);
   ASSERT_EQ(h.size(), 4u);
   const auto entries = h.entries();
@@ -156,6 +158,20 @@ TEST(WriteHistoryTest, ArenaBackedRingWrapsPastPhysicalEnd) {
   EXPECT_EQ(entries.back().value, 11);
   EXPECT_EQ(h.ProperValueBefore(Ts(95)).value(), 9);
   EXPECT_FALSE(h.ProperValueBefore(Ts(80)).has_value());
+}
+
+TEST(WriteHistoryTest, MoveHandsTheRingOver) {
+  WriteHistory from(3);
+  EXPECT_TRUE(from.empty());  // no ring before the first Record
+  for (int i = 1; i <= 4; ++i) from.Record(Ts(i * 10), i);
+  WriteHistory to(std::move(from));
+  EXPECT_TRUE(from.empty());  // NOLINT(bugprone-use-after-move)
+  ASSERT_EQ(to.size(), 3u);
+  EXPECT_EQ(to.ProperValueBefore(Ts(35)).value(), 3);
+  // The moved-from history takes a fresh ring of its own on reuse.
+  from.Record(Ts(5), 50);
+  EXPECT_EQ(from.ProperValueBefore(Ts(6)).value(), 50);
+  EXPECT_EQ(to.entries().front().value, 2);
 }
 
 // Parameterized sweep: proper-value lookup is correct at every depth.
