@@ -25,7 +25,6 @@ using esr::SimResult;
 using esr::TxnType;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::ParallelFor;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
@@ -53,11 +52,10 @@ struct RunOutcome {
 // One (shape, seed) run; self-contained so runs can execute on worker
 // threads. `owns_trace` must be false when other runs may be in flight.
 RunOutcome RunShapeSeed(const Shape& shape, int seed, const RunScale& scale,
-                        bool owns_trace, int lanes) {
+                        bool owns_trace) {
   auto opt = BaseOptions(kTil, /*tel=*/10'000, kMpl, scale);
   opt.seed = static_cast<uint64_t>(seed) * 7919;
   opt.owns_trace = owns_trace;
-  opt.lanes = lanes;
 
   // Group ids are deterministic given the construction order below, so
   // the bound factory can reference them before the cluster exists.
@@ -127,7 +125,6 @@ int main(int argc, char** argv) {
   constexpr size_t kShapeCount = 3;
   const size_t seeds = static_cast<size_t>(scale.seeds);
   const int jobs = JobsFromArgs(argc, argv);
-  const int lanes = LanesFromArgs(argc, argv);
 
   // Fan the (shape, seed) grid across workers; merge on the main thread
   // in seed order so the averages are bit-identical to a serial run.
@@ -136,7 +133,7 @@ int main(int argc, char** argv) {
     const Shape& shape = shapes[task / seeds];
     const int seed = static_cast<int>(task % seeds) + 1;
     raw[task] =
-        RunShapeSeed(shape, seed, scale, /*owns_trace=*/jobs == 1, lanes);
+        RunShapeSeed(shape, seed, scale, /*owns_trace=*/jobs == 1);
   });
 
   Table table({"declaration", "tput(tps)", "aborts", "group_aborts",

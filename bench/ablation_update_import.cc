@@ -19,7 +19,6 @@ using esr::Inconsistency;
 using esr::bench::AveragedResult;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
 using esr::bench::Sweep;
@@ -40,7 +39,6 @@ int main(int argc, char** argv) {
               scale);
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_series_export(esr::bench::SeriesPathFromArgs(argc, argv),
                           "ablation_update_import");
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));

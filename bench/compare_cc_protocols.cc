@@ -17,7 +17,6 @@ using esr::EpsilonLevel;
 using esr::bench::AveragedResult;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
 using esr::bench::Sweep;
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
   };
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_series_export(esr::bench::SeriesPathFromArgs(argc, argv),
                           "compare_cc_protocols");
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));

@@ -15,7 +15,6 @@ using esr::EpsilonLevel;
 using esr::bench::AveragedResult;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::JsonReport;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
               scale);
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_series_export(esr::bench::SeriesPathFromArgs(argc, argv),
                           "fig07_throughput_vs_mpl");
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));

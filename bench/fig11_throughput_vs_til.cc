@@ -16,7 +16,6 @@ using esr::Inconsistency;
 using esr::bench::AveragedResult;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::JsonReport;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
               scale);
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_series_export(esr::bench::SeriesPathFromArgs(argc, argv),
                           "fig11_throughput_vs_til");
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));

@@ -21,7 +21,6 @@ namespace {
 using esr::bench::AveragedResult;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::JsonReport;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
       scale);
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_series_export(esr::bench::SeriesPathFromArgs(argc, argv),
                           "fig13_ops_per_txn_vs_oil");
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));

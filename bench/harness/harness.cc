@@ -128,22 +128,6 @@ int JobsFromArgs(int argc, char** argv) {
   return jobs;
 }
 
-int LanesFromArgs(int argc, char** argv) {
-  const std::string value =
-      FlagValue(argc, argv, "--lanes", "ESR_BENCH_LANES");
-  if (value.empty()) return 1;
-  const int lanes = std::atoi(value.c_str());
-  if (lanes < 1) {
-    std::fprintf(stderr, "ignoring invalid --lanes/ESR_BENCH_LANES '%s'\n",
-                 value.c_str());
-    return 1;
-  }
-  // No trace clamp here: Cluster::Run itself falls back to serial rounds
-  // while a capture is live, and the lane structure (hence every result
-  // byte) is the same either way.
-  return lanes;
-}
-
 std::string SeriesPathFromArgs(int argc, char** argv) {
   return FlagValue(argc, argv, "--series", "ESR_BENCH_SERIES");
 }
@@ -217,11 +201,6 @@ void Sweep::set_health(std::string path) {
   health_path_ = std::move(path);
 }
 
-void Sweep::set_lanes(int lanes) {
-  ESR_CHECK(!ran_) << "Sweep::set_lanes after Run";
-  lanes_ = lanes < 1 ? 1 : lanes;
-}
-
 void Sweep::ResolveWarmup() {
   // Calibration run: the last scheduled config (the sweeps schedule
   // load-ascending, so this is the slowest-settling one the warmup must
@@ -237,7 +216,6 @@ void Sweep::ResolveWarmup() {
   calibration.series_window_s = kSeriesWindowS;
   calibration.series_source = "mser5-calibration";
   calibration.owns_trace = false;  // never perturb a --trace capture
-  calibration.lanes = lanes_;      // deterministic for any lane count
   const SimResult probe = RunCluster(calibration);
   const std::vector<double> throughput = probe.series.ThroughputSeries();
 
@@ -289,7 +267,6 @@ void Sweep::Run() {
   auto run_task = [&](size_t task, bool certify) {
     ClusterOptions options = configs_[task / static_cast<size_t>(seeds)];
     options.seed = SeedForRun(static_cast<int>(task % seeds));
-    options.lanes = lanes_;
     // A certified run must own the global recorder (the certifier
     // subscribes to it); it only ever executes on the coordinator with no
     // workers running, so ownership is safe.
@@ -392,9 +369,8 @@ AveragedResult RunAveraged(ClusterOptions options, const RunScale& scale,
                            int jobs) {
   Sweep sweep(scale, jobs);
   // Callers of RunAveraged pass fully resolved options (tests pin exact
-  // warmups); no calibration pass here. Their lane choice rides along.
+  // warmups); no calibration pass here.
   sweep.set_auto_warmup(false);
-  sweep.set_lanes(options.lanes);
   sweep.Add(options);
   sweep.Run();
   return sweep.Result(0);

@@ -77,15 +77,6 @@ std::string FlagValue(int argc, char** argv, const char* flag,
 /// because the global trace recorder records one coherent run at a time.
 int JobsFromArgs(int argc, char** argv);
 
-/// Conservative-parallel worker count for each individual simulator run:
-/// `--lanes N` wins over ESR_BENCH_LANES; defaults to 1 (serial rounds).
-/// Orthogonal to --jobs: jobs parallelizes across (config, seed) runs,
-/// lanes parallelizes the event lanes inside one run. Cluster::Run clamps
-/// the value to the lane count (mpl + 1) and forces serial rounds while a
-/// trace capture is active; every result byte is identical for any value
-/// (see ClusterOptions::lanes). Wire it in with Sweep::set_lanes.
-int LanesFromArgs(int argc, char** argv);
-
 /// Output path for per-window run telemetry: `--series <path>` wins over
 /// ESR_BENCH_SERIES; empty (export disabled) when neither is present.
 /// Wire it into the executor with Sweep::set_series_export.
@@ -217,12 +208,6 @@ class Sweep {
   /// set_health was given a path).
   const HealthReport& health() const { return health_; }
 
-  /// Lane worker threads inside each simulator run (see LanesFromArgs);
-  /// applied to every scheduled config — calibration run included — by
-  /// Run(). Determinism contract: results are byte-identical for any
-  /// value, so this is purely a wall-clock knob.
-  void set_lanes(int lanes);
-
   /// Executes all scheduled (config, seed) runs and merges their results;
   /// call exactly once, from the thread that constructed the Sweep.
   ///
@@ -256,7 +241,6 @@ class Sweep {
   bool ran_ = false;
   bool auto_warmup_ = true;
   bool certify_ = false;
-  int lanes_ = 1;
   StreamCertification certification_;
   HealthReport health_;
   std::string series_path_;

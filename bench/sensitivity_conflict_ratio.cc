@@ -15,7 +15,6 @@ namespace {
 using esr::EpsilonLevel;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::PrintHeader;
 using esr::bench::RunScale;
 using esr::bench::Sweep;
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
   const double query_fractions[] = {0.3, 0.6, 0.8};
 
   Sweep sweep(scale, JobsFromArgs(argc, argv));
-  sweep.set_lanes(LanesFromArgs(argc, argv));
   sweep.set_certify(esr::bench::CertifyFromArgs(argc, argv));
   for (const size_t hot : hot_sets) {
     for (const double fraction : query_fractions) {

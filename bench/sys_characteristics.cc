@@ -19,7 +19,6 @@ using esr::LatencyModel;
 using esr::LatencyModelOptions;
 using esr::bench::BaseOptions;
 using esr::bench::JobsFromArgs;
-using esr::bench::LanesFromArgs;
 using esr::bench::RunAveraged;
 using esr::bench::RunScale;
 using esr::bench::Table;
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
   opt.workload.query_hot_prob = 0.02;
   opt.workload.update_read_hot_prob = 0.02;
   opt.workload.update_write_hot_prob = 0.02;
-  opt.lanes = LanesFromArgs(argc, argv);
   const auto result = RunAveraged(opt, scale, JobsFromArgs(argc, argv));
 
   std::printf("\nLow-conflict baseline (MPL 10, ~10 ops/txn):\n");

@@ -22,33 +22,31 @@ ClientStats& ClientStats::operator-=(const ClientStats& other) {
   return *this;
 }
 
-SimClient::SimClient(SiteId site, Server* server, LaneExecutor* lanes,
-                     size_t lane, size_t server_lane, LatencyModel* latency,
-                     WorkloadGenerator generator, SkewedClock clock)
+SimClient::SimClient(SiteId site, Server* server, EventQueue* queue,
+                     LatencyModel* latency, WorkloadGenerator generator,
+                     SkewedClock clock)
     : site_(site),
       server_(server),
-      lanes_(lanes),
-      lane_(lane),
-      server_lane_(server_lane),
+      queue_(queue),
       latency_(latency),
       generator_(std::move(generator)),
       clock_(clock),
       ts_gen_(site) {}
 
 void SimClient::Start(SimTime start_at) {
-  lane_queue().ScheduleAt(start_at, [this] { SubmitNextTransaction(); });
+  AtSite(start_at, [this] { SubmitNextTransaction(); });
 }
 
 void SimClient::SubmitNextTransaction() {
   script_ = generator_.Next();
-  first_submit_at_ = lane_queue().now();
+  first_submit_at_ = queue_->now();
   BeginCurrentTransaction();
 }
 
 void SimClient::BeginCurrentTransaction() {
   // The timestamp is assigned when the transaction begins, from the
   // site's corrected clock (Sec. 6).
-  const Timestamp ts = ts_gen_.Next(clock_.Read(lane_queue().now()));
+  const Timestamp ts = ts_gen_.Next(clock_.Read(queue_->now()));
   op_index_ = 0;
   read_results_.clear();
   attempt_inconsistency_ = 0.0;
@@ -57,8 +55,7 @@ void SimClient::BeginCurrentTransaction() {
   const SimTime ctrl = latency_->SampleControlRpc(site_);
   const SimTime request_travel = ctrl / 2;
   const SimTime response_travel = ctrl - request_travel;
-  lanes_->Send(lane_, server_lane_, lane_queue().now() + request_travel,
-               [this, ts, response_travel] {
+  queue_->ScheduleAfter(request_travel, [this, ts, response_travel] {
     if (script_.type == TxnType::kUpdate &&
         script_.update_import_limit > 0 &&
         server_->options().engine == EngineKind::kTimestampOrdering) {
@@ -73,9 +70,7 @@ void SimClient::BeginCurrentTransaction() {
     // this client's RPC spans parent to it across callbacks.
     const Transaction* t = server_->engine().Find(txn_);
     txn_span_ = t != nullptr ? t->trace_span() : 0;
-    lanes_->Send(server_lane_, lane_,
-                 server_queue().now() + response_travel,
-                 [this] { IssueCurrentOp(); });
+    AtSite(queue_->now() + response_travel, [this] { IssueCurrentOp(); });
   });
 }
 
@@ -88,17 +83,14 @@ void SimClient::IssueCurrentOp() {
   // response travel; closed when the response lands in HandleOpResult.
   rpc_span_ = BeginSpan(SpanKind::kRpc, txn_, site_,
                         script_.ops[op_index_].object, txn_span_);
-  op_issued_at_ = lane_queue().now();
+  op_issued_at_ = queue_->now();
   const SimTime rpc = latency_->SampleOpRpc(site_);
   const SimTime request_travel = rpc / 2;
   const SimTime response_travel = rpc - request_travel;
-  lanes_->Send(lane_, server_lane_, lane_queue().now() + request_travel,
-               [this, response_travel] {
-    // Request has arrived at the server; contend for its CPU. The CPU
-    // reservation and the op itself stay on the server lane.
-    const SimTime cpu_done =
-        latency_->ReserveServerCpu(server_queue().now());
-    server_queue().ScheduleAt(cpu_done, [this, response_travel] {
+  queue_->ScheduleAfter(request_travel, [this, response_travel] {
+    // Request has arrived at the server; contend for its CPU.
+    const SimTime cpu_done = latency_->ReserveServerCpu(queue_->now());
+    queue_->ScheduleAt(cpu_done, [this, response_travel] {
       ExecuteOpAtServer(response_travel);
     });
   });
@@ -117,8 +109,8 @@ void SimClient::ExecuteOpAtServer(SimTime response_travel) {
       result = server_->Write(txn_, op.object, WriteValueFor(op));
     }
   }
-  lanes_->Send(server_lane_, lane_, server_queue().now() + response_travel,
-               [this, result] { HandleOpResult(result); });
+  AtSite(queue_->now() + response_travel,
+         [this, result] { HandleOpResult(result); });
 }
 
 void SimClient::HandleOpResult(const OpResult& result) {
@@ -127,7 +119,7 @@ void SimClient::HandleOpResult(const OpResult& result) {
   rpc_span_ = 0;
   ++stats_.op_responses;
   stats_.op_latency_total_us +=
-      static_cast<int64_t>(lane_queue().now() - op_issued_at_);
+      static_cast<int64_t>(queue_->now() - op_issued_at_);
   switch (result.kind) {
     case OpResult::Kind::kOk: {
       ++stats_.ops_executed;
@@ -149,8 +141,8 @@ void SimClient::HandleOpResult(const OpResult& result) {
     }
     case OpResult::Kind::kWait: {
       ++stats_.waits;
-      lane_queue().ScheduleAfter(latency_->WaitRetryDelay(),
-                                 [this] { IssueCurrentOp(); });
+      AtSite(queue_->now() + latency_->WaitRetryDelay(),
+             [this] { IssueCurrentOp(); });
       return;
     }
     case OpResult::Kind::kAbort: {
@@ -159,8 +151,8 @@ void SimClient::HandleOpResult(const OpResult& result) {
       ++stats_.aborts;
       txn_ = kInvalidTxnId;
       txn_span_ = 0;
-      lane_queue().ScheduleAfter(latency_->RestartDelay(),
-                                 [this] { BeginCurrentTransaction(); });
+      AtSite(queue_->now() + latency_->RestartDelay(),
+             [this] { BeginCurrentTransaction(); });
       return;
     }
   }
@@ -173,16 +165,14 @@ void SimClient::IssueCommit() {
   const SimTime ctrl = latency_->SampleControlRpc(site_);
   const SimTime request_travel = ctrl / 2;
   const SimTime response_travel = ctrl - request_travel;
-  lanes_->Send(lane_, server_lane_, lane_queue().now() + request_travel,
-               [this, commit_rpc, response_travel] {
+  queue_->ScheduleAfter(request_travel,
+                        [this, commit_rpc, response_travel] {
     {
       ScopedSpanParent rpc(commit_rpc);
       const Status status = server_->Commit(txn_);
       ESR_CHECK(status.ok()) << status.ToString();
     }
-    lanes_->Send(server_lane_, lane_,
-                 server_queue().now() + response_travel,
-                 [this, commit_rpc] {
+    AtSite(queue_->now() + response_travel, [this, commit_rpc] {
       // Commit acknowledgement landed: the transaction is over from the
       // client's point of view, so stats and latency close here.
       EndSpan(SpanKind::kRpc, commit_rpc, txn_, site_);
@@ -194,7 +184,7 @@ void SimClient::IssueCommit() {
         ++stats_.committed_update;
         stats_.export_total += attempt_inconsistency_;
       }
-      const SimTime latency_us = lane_queue().now() - first_submit_at_;
+      const SimTime latency_us = queue_->now() - first_submit_at_;
       stats_.txn_latency_total_us += latency_us;
       latency_ms_.Record(static_cast<double>(latency_us) / 1000.0);
       txn_ = kInvalidTxnId;

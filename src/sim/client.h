@@ -2,13 +2,13 @@
 #define ESR_SIM_CLIENT_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/timestamp.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
-#include "sim/lane_executor.h"
 #include "sim/latency_model.h"
 #include "sim/skewed_clock.h"
 #include "txn/server.h"
@@ -55,23 +55,18 @@ struct ClientStats {
 /// retries operations told to wait, and resubmits aborted transactions
 /// with a new timestamp until they complete.
 ///
-/// Lane placement: the client's own thinking (timestamp assignment, retry
-/// timers, response handling, its stats) happens on its site's lane; the
-/// server half of every RPC (Begin, operation execution under the shared
-/// CPU, Commit) happens on the server lane. Each RPC is two cross-lane
-/// legs — request travel to the server, response travel back — so the
-/// lane executor's conservative window always has at least one leg of
-/// slack. The client is strictly synchronous (one outstanding event per
-/// site in the whole system), so its state needs no locking: the chain
-/// alternates between its lane and the server lane, never overlapping
-/// itself.
+/// Every RPC is two events on the cluster's single queue: the request
+/// landing at the server (Begin, operation execution under the shared
+/// CPU, Commit) and the response landing back at this site (timestamp
+/// assignment, retry timers, response handling, its stats). The client
+/// is strictly synchronous — at most one of its events is pending at any
+/// time — so its state needs no further ordering.
 class SimClient {
  public:
-  /// `lane` is this client's lane index in `lanes` (the cluster uses the
-  /// site id); `server_lane` is where the server lives (lane 0).
-  SimClient(SiteId site, Server* server, LaneExecutor* lanes, size_t lane,
-            size_t server_lane, LatencyModel* latency,
-            WorkloadGenerator generator, SkewedClock clock);
+  /// `queue` is the cluster's event queue, shared with every other site.
+  SimClient(SiteId site, Server* server, EventQueue* queue,
+            LatencyModel* latency, WorkloadGenerator generator,
+            SkewedClock clock);
 
   SimClient(const SimClient&) = delete;
   SimClient& operator=(const SimClient&) = delete;
@@ -81,6 +76,9 @@ class SimClient {
 
   const ClientStats& stats() const { return stats_; }
   SiteId site() const { return site_; }
+  /// Events executed at this site (responses, retry and restart timers);
+  /// the server half of each RPC is not counted here.
+  uint64_t events() const { return events_; }
 
   /// Commit-latency distribution (ms) since the last reset. The cluster
   /// resets it at the end of warm-up so the merged run-level histogram
@@ -103,15 +101,22 @@ class SimClient {
   /// The value a write op sends, derived from this attempt's reads.
   Value WriteValueFor(const ScriptOp& op) const;
 
-  /// This client's own event queue.
-  EventQueue& lane_queue() { return lanes_->lane(lane_); }
-  EventQueue& server_queue() { return lanes_->lane(server_lane_); }
+  /// Schedules `fn` as an event at this site, counted in events(). The
+  /// counting wrapper must stay inline in the queue's slot.
+  template <typename Fn>
+  void AtSite(SimTime at, Fn fn) {
+    auto counted = [this, fn = std::move(fn)] {
+      ++events_;
+      fn();
+    };
+    static_assert(sizeof(counted) <= EventQueue::kInlineCallbackBytes,
+                  "site event capture spills out of the queue's inline slot");
+    queue_->ScheduleAt(at, std::move(counted));
+  }
 
   SiteId site_;
   Server* server_;
-  LaneExecutor* lanes_;
-  size_t lane_;
-  size_t server_lane_;
+  EventQueue* queue_;
   LatencyModel* latency_;
   WorkloadGenerator generator_;
   SkewedClock clock_;
@@ -136,6 +141,7 @@ class SimClient {
 
   ClientStats stats_;
   Histogram latency_ms_;
+  uint64_t events_ = 0;
 };
 
 }  // namespace esr

@@ -13,11 +13,9 @@ namespace {
 
 /// Time-source hook stamping trace events with the simulator's virtual
 /// clock, so a trace of a simulated run lines up with the virtual
-/// timeline the metrics are reported in. Tracing clamps the executor to
-/// one worker, so the currently-executing lane is well defined.
+/// timeline the metrics are reported in.
 int64_t VirtualNowMicros(void* ctx) {
-  return static_cast<int64_t>(
-      static_cast<LaneExecutor*>(ctx)->CurrentNow());
+  return static_cast<int64_t>(static_cast<EventQueue*>(ctx)->now());
 }
 
 }  // namespace
@@ -37,13 +35,16 @@ std::string SimResult::ToString() const {
   return buf;
 }
 
-Cluster::Cluster(const ClusterOptions& options)
-    : options_(options),
-      // One lane per site — the server plus mpl clients — always; the
-      // worker count is applied in Run() and never changes the shape.
-      executor_(static_cast<size_t>(options.mpl) + 1,
-                LatencyModel::MinCrossSiteDelayMicros(options.latency)) {
+Cluster::SiteEvents::Site Cluster::SiteEvents::lane(size_t site) const {
+  if (site > 0) return Site{cluster_->clients_[site - 1]->events()};
+  uint64_t server = cluster_->queue_.executed();
+  for (const auto& client : cluster_->clients_) server -= client->events();
+  return Site{server};
+}
+
+Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   ESR_CHECK(options_.mpl >= 1);
+  ESR_CHECK(options_.lanes == 1) << "a cluster runs on one event queue";
   // Health detection replays the window stream, so it needs the sampler.
   if (options_.health) options_.collect_series = true;
   // The store must be populated consistently with the workload's universe.
@@ -65,8 +66,8 @@ Cluster::Cluster(const ClusterOptions& options)
 
   Rng master(options_.seed);
   // Per-site latency streams (site 0 = server is unused but keeps the
-  // indexing aligned): which lane interleaving runs first must not
-  // change what anyone samples.
+  // indexing aligned): each client's draws depend on its own history
+  // only, not on how the sites' events interleave.
   latency_ = std::make_unique<LatencyModel>(
       options_.latency, master.NextU64(),
       static_cast<size_t>(options_.mpl) + 1);
@@ -76,15 +77,15 @@ Cluster::Cluster(const ClusterOptions& options)
     WorkloadGenerator generator(options_.workload, master.NextU64());
     SkewedClock clock(site, options_.skew, &skew_rng);
     clients_.push_back(std::make_unique<SimClient>(
-        site, server_.get(), &executor_, static_cast<size_t>(site),
-        /*server_lane=*/0, latency_.get(), std::move(generator), clock));
+        site, server_.get(), &queue_, latency_.get(), std::move(generator),
+        clock));
   }
   if (options_.collect_series) {
     SeriesSamplerOptions sampler_options;
     sampler_options.window_s = options_.series_window_s;
     sampler_options.source = options_.series_source;
     sampler_ = std::make_unique<SeriesSampler>(
-        &executor_.lane(0), server_.get(),
+        &queue_, server_.get(),
         [this] {
           SeriesSampler::Cumulative total;
           for (const auto& client : clients_) {
@@ -102,24 +103,12 @@ Cluster::Cluster(const ClusterOptions& options)
   }
 }
 
-void Cluster::RunTo(SimTime until) {
-  // Every sampler boundary reads cross-lane state, so the conservative
-  // run must end exactly there (LaneExecutor checkpoint phase) before
-  // continuing — for any worker count, including 1.
-  while (!pending_stops_.empty() && pending_stops_.front() <= until) {
-    const SimTime stop = pending_stops_.front();
-    pending_stops_.erase(pending_stops_.begin());
-    if (stop < until) executor_.RunUntil(stop);
-  }
-  executor_.RunUntil(until);
-}
-
 SimResult Cluster::Run() {
   // Only a run that owns the global recorder may touch its shared state
   // (time source, ring reset); worker-pool runs leave it alone entirely.
   std::optional<ScopedTraceTimeSource> trace_clock;
   if (options_.owns_trace) {
-    trace_clock.emplace(&VirtualNowMicros, &executor_);
+    trace_clock.emplace(&VirtualNowMicros, &queue_);
     // Every run restarts the virtual clock and transaction ids, so a
     // capture spanning several seeds would interleave unrelated events
     // under the same (txn, ts) keys and confuse both Perfetto and the
@@ -157,22 +146,12 @@ SimResult Cluster::Run() {
     observer.emplace(&StreamCertifier::ObserveTrampoline, certifier_.get());
     if (sampler_ != nullptr) sampler_->set_certifier(certifier_.get());
   }
-  // Worker threads for the conservative rounds. An active trace capture
-  // (or certification riding on one) records from every lane, and the
-  // recorder is single-writer — clamp to serial rounds, mirroring how
-  // the bench harness forces --jobs 1 under --trace. The lane structure
-  // is untouched, so the clamp changes no result byte.
-  int workers = options_.lanes;
-  if (options_.owns_trace && GlobalTraceEnabled()) workers = 1;
-  executor_.set_workers(workers);
-
   // Stagger client start-up slightly so sites do not run in lockstep.
   for (size_t i = 0; i < clients_.size(); ++i) {
     clients_[i]->Start(static_cast<SimTime>(i) * 3 * kMicrosPerMilli);
   }
   if (sampler_ != nullptr) {
     sampler_->ScheduleWindows(options_.warmup_s + options_.measure_s);
-    pending_stops_ = sampler_->boundaries();
   }
 
   const SimTime warmup_end =
@@ -181,7 +160,7 @@ SimResult Cluster::Run() {
       warmup_end +
       static_cast<SimTime>(options_.measure_s * kMicrosPerSecond);
 
-  RunTo(warmup_end);
+  queue_.RunUntil(warmup_end);
   std::vector<ClientStats> at_warmup;
   at_warmup.reserve(clients_.size());
   for (const auto& client : clients_) {
@@ -189,7 +168,7 @@ SimResult Cluster::Run() {
     client->ResetLatencyHistogram();
   }
 
-  RunTo(measure_end);
+  queue_.RunUntil(measure_end);
 
   SimResult result;
   result.mpl = options_.mpl;
@@ -214,7 +193,7 @@ SimResult Cluster::Run() {
   }
   if (sampler_ != nullptr) result.series = sampler_->TakeSeries();
   if (certifier_ != nullptr) {
-    certifier_->AdvanceTo(static_cast<int64_t>(executor_.lane(0).now()));
+    certifier_->AdvanceTo(static_cast<int64_t>(queue_.now()));
     result.certification = certifier_->Snapshot();
     if (sampler_ != nullptr) sampler_->set_certifier(nullptr);
   }

@@ -12,7 +12,6 @@
 #include "sim/client.h"
 #include "sim/series_sampler.h"
 #include "sim/event_queue.h"
-#include "sim/lane_executor.h"
 #include "sim/latency_model.h"
 #include "sim/skewed_clock.h"
 #include "txn/server.h"
@@ -66,16 +65,10 @@ struct ClusterOptions {
   /// standard HealthMonitor detector set into SimResult::health. Purely
   /// observational and a pure function of the series bytes, so health
   /// output inherits the series' determinism contract (byte-identical
-  /// at any --jobs / --lanes level).
+  /// at any --jobs level).
   bool health = false;
-  /// Worker threads for the conservative lane executor. The event
-  /// structure is always one lane per site (server + MPL clients)
-  /// regardless of this value — `lanes` only sets how many threads
-  /// execute each conservative round, so results are byte-identical for
-  /// every value (the --jobs determinism contract, one level down).
-  /// Clamped to [1, mpl + 1]; forced to 1 while this run owns an active
-  /// trace capture or certification, because the global trace recorder
-  /// is not written concurrently.
+  /// Always 1: a run is one event queue on one thread. Kept only so
+  /// callers that still set it compile; the Cluster checks the value.
   int lanes = 1;
 };
 
@@ -145,12 +138,28 @@ struct SimResult {
 
 /// Builds and runs the simulated prototype: server, latency model, skewed
 /// client clocks, and MPL synchronous clients, all deterministically
-/// seeded. Execution is partitioned into per-site event lanes (lane 0 is
-/// the server, lane s client site s) driven by the conservative
-/// LaneExecutor; ClusterOptions::lanes picks the worker-thread count
-/// without affecting any result byte.
+/// seeded and driven by one time-ordered event queue (same-time events
+/// run in scheduling order).
 class Cluster {
  public:
+  /// Read-only per-site event counts: site 0 is the server (the server
+  /// half of every RPC plus the sampler's window events), site s client
+  /// s. lane(s).executed() reads one site's count.
+  class SiteEvents {
+   public:
+    struct Site {
+      uint64_t count;
+      uint64_t executed() const { return count; }
+    };
+    size_t num_lanes() const { return cluster_->clients_.size() + 1; }
+    Site lane(size_t site) const;
+
+   private:
+    friend class Cluster;
+    explicit SiteEvents(const Cluster* cluster) : cluster_(cluster) {}
+    const Cluster* cluster_;
+  };
+
   explicit Cluster(const ClusterOptions& options);
 
   /// Runs warm-up plus measurement window and returns the aggregated
@@ -158,23 +167,15 @@ class Cluster {
   SimResult Run();
 
   Server& server() { return *server_; }
-  /// The server lane's queue (lane 0); its clock is the run's reference
-  /// time at every checkpoint.
-  EventQueue& queue() { return executor_.lane(0); }
-  LaneExecutor& executor() { return executor_; }
+  EventQueue& queue() { return queue_; }
+  SiteEvents executor() const { return SiteEvents(this); }
 
  private:
-  /// Conservative run to `until` stopping at every cross-lane
-  /// observation instant (series window boundaries) in between.
-  void RunTo(SimTime until);
-
   ClusterOptions options_;
-  LaneExecutor executor_;
+  EventQueue queue_;
   std::unique_ptr<Server> server_;
   std::unique_ptr<LatencyModel> latency_;
   std::vector<std::unique_ptr<SimClient>> clients_;
-  /// Sampler boundaries not yet passed by RunTo, ascending.
-  std::vector<SimTime> pending_stops_;
   /// Telemetry collector (nullptr unless options_.collect_series); a
   /// member rather than a Run() local because active transactions hold
   /// probe pointers into its tracker for the cluster's lifetime.

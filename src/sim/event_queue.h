@@ -17,10 +17,6 @@ using SimTime = int64_t;
 inline constexpr SimTime kMicrosPerMilli = 1000;
 inline constexpr SimTime kMicrosPerSecond = 1'000'000;
 
-/// Sentinel returned by EventQueue::NextEventTime() when no event is
-/// pending; larger than every real time so min() folds over lanes work.
-inline constexpr SimTime kNoPendingEvent = INT64_MAX;
-
 /// Deterministic discrete-event simulation kernel: a priority queue of
 /// (time, callback) events and a virtual clock. Ties are broken in
 /// scheduling order (FIFO), so runs are exactly reproducible.
@@ -84,34 +80,6 @@ class EventQueue {
     ScheduleAt(now_ + delay, std::forward<Fn>(fn));
   }
 
-  /// Payload capacity of ScheduleErased: the inline slot minus the
-  /// invoke pointer stored alongside it.
-  static constexpr size_t kErasedPayloadBytes = 56;
-
-  /// Type-erased fast path for pre-erased callbacks (the lane executor's
-  /// cross-lane deliveries): copies kErasedPayloadBytes of `payload`
-  /// inline and runs `invoke(payload)` at `at`. Equivalent to wrapping
-  /// (invoke, payload) in a callable and passing it to ScheduleAt, minus
-  /// the intermediate wrapper copy — this path runs tens of millions of
-  /// times per long parallel-lane run.
-  void ScheduleErased(SimTime at, void (*invoke)(const void* payload),
-                      const void* payload) {
-    const uint32_t index = AcquireSlot();
-    Slot& slot = SlotAt(index);
-    auto* call =
-        ::new (static_cast<void*>(slot.inline_storage)) ErasedCall;
-    call->invoke = invoke;
-    __builtin_memcpy(call->payload, payload, kErasedPayloadBytes);
-    slot.callable = call;
-    slot.run = [](void* callable) {
-      auto* erased = static_cast<ErasedCall*>(callable);
-      erased->invoke(erased->payload);
-    };
-    // ErasedCall is trivially destructible.
-    slot.destroy = [](void*) {};
-    PushEntry(at, index);
-  }
-
   /// Runs the earliest event; false when the queue is empty.
   bool RunOne();
 
@@ -125,27 +93,13 @@ class EventQueue {
   size_t pending() const { return heap_.size(); }
   uint64_t executed() const { return executed_; }
 
-  /// Time of the earliest pending event, or kNoPendingEvent when empty.
-  /// The conservative lane executor folds this across lanes to compute
-  /// the global safe horizon.
-  SimTime NextEventTime() const {
-    return heap_.empty() ? kNoPendingEvent : heap_.front().at;
-  }
-
- private:
   /// Inline capture budget. Covers every simulator callback (the largest,
-  /// [this, OpResult], is 56 bytes) and a small-buffer std::function;
-  /// larger callables take the recycled oversize path.
+  /// a client's event-counting wrapper around [this, OpResult], is 64
+  /// bytes) and a small-buffer std::function; larger callables take the
+  /// recycled oversize path.
   static constexpr size_t kInlineCallbackBytes = 64;
 
-  /// The in-slot layout of a ScheduleErased callback; exactly fills the
-  /// inline buffer.
-  struct ErasedCall {
-    void (*invoke)(const void* payload);
-    unsigned char payload[kErasedPayloadBytes];
-  };
-  static_assert(sizeof(ErasedCall) == kInlineCallbackBytes,
-                "erased payload must exactly fill the inline slot");
+ private:
   /// Slots per pool chunk. Chunked storage keeps slot addresses stable
   /// while the pool grows (callables must never be memcpy'd).
   static constexpr uint32_t kSlotsPerChunk = 256;

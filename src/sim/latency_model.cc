@@ -65,18 +65,4 @@ SimTime LatencyModel::ReserveServerCpu(SimTime request_arrival) {
   return server_busy_until_;
 }
 
-SimTime LatencyModel::MinCrossSiteDelayMicros(
-    const LatencyModelOptions& options) {
-  // The shortest one-way leg is half the shortest round trip: control
-  // RPCs bottom out at 0.9 * null_rpc (the jitter floor), operation RPCs
-  // at op_rpc_min. Integer truncation in MsToMicros and the request/
-  // response split (rpc/2, rpc - rpc/2) can shave a few microseconds off
-  // the analytic floor, so keep a guard below it; clamp at 1 so the
-  // executor always makes progress.
-  const SimTime min_round_trip =
-      std::min(MsToMicros(0.9 * options.null_rpc_ms),
-               MsToMicros(options.op_rpc_min_ms));
-  return std::max<SimTime>(1, min_round_trip / 2 - 8);
-}
-
 }  // namespace esr

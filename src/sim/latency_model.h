@@ -42,11 +42,10 @@ struct LatencyModelOptions {
 /// single FIFO resource.
 ///
 /// Sampling streams: the shared no-argument Sample* overloads draw from
-/// one stream (fine for single-queue drivers like ReplicaCluster). The
-/// per-site overloads draw from an independent stream per SiteId — the
-/// lane-parallel cluster needs them, because with one stream the draw
-/// order would depend on how lane events interleave across rounds. Each
-/// site's stream is a deterministic function of (seed, site) only.
+/// one stream (ReplicaCluster uses them). The per-site overloads draw
+/// from an independent stream per SiteId, a deterministic function of
+/// (seed, site) only, so a client's delays depend on its own history and
+/// not on how other sites' events interleave with it (Cluster uses them).
 class LatencyModel {
  public:
   /// `num_sites` sizes the per-site stream table (site ids 0..num_sites-1
@@ -68,19 +67,7 @@ class LatencyModel {
 
   /// Reserves the server CPU for one op starting no earlier than
   /// `request_arrival`; returns the completion time of the server work.
-  /// Shared-resource state: in the lane-parallel cluster only server-lane
-  /// events may call this.
   SimTime ReserveServerCpu(SimTime request_arrival);
-
-  /// Strict lower bound on every one-way cross-site leg the simulated
-  /// clients produce (request and response halves of control and
-  /// operation RPCs), minus a small guard for integer truncation. The
-  /// lane executor uses it as its conservative lookahead. Static so the
-  /// cluster can size its executor before the model exists.
-  static SimTime MinCrossSiteDelayMicros(const LatencyModelOptions& options);
-  SimTime MinCrossSiteDelayMicros() const {
-    return MinCrossSiteDelayMicros(options_);
-  }
 
   const LatencyModelOptions& options() const { return options_; }
 

@@ -35,12 +35,10 @@ void SeriesSampler::ScheduleWindows(double end_s) {
   const size_t num_windows =
       static_cast<size_t>(std::ceil(end_s / options_.window_s));
   series_.windows.reserve(num_windows);
-  boundaries_.reserve(num_windows);
   for (size_t i = 0; i < num_windows; ++i) {
     const double boundary_s =
         std::min(static_cast<double>(i + 1) * options_.window_s, end_s);
     const SimTime at = static_cast<SimTime>(boundary_s * kMicrosPerSecond);
-    boundaries_.push_back(at);
     queue_->ScheduleAt(at, [this, i] { Sample(i); });
   }
 }

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "hierarchy/accumulator.h"
 #include "obs/series.h"
@@ -36,9 +35,10 @@ struct SeriesSamplerOptions {
 /// Purely observational: sampling events only read state (and reset the
 /// tracker's window extrema), so interleaving them into the event queue
 /// never perturbs transaction scheduling — a sampled run's workload
-/// results are byte-identical to an unsampled run's. Where a sampling
-/// event ties with a workload event the queue's FIFO tie-break keeps the
-/// order deterministic.
+/// results are byte-identical to an unsampled run's. Sampling events are
+/// ordinary queue events; scheduled before the run starts, each one
+/// runs ahead of every event the run itself schedules for its boundary
+/// instant (the FIFO tie-break).
 ///
 /// The windows vector is sized up front from the planned run length and
 /// per-window node readings reuse the tracker's fixed slots — after
@@ -76,13 +76,6 @@ class SeriesSampler {
   /// series. Call once, before EventQueue::RunUntil.
   void ScheduleWindows(double end_s);
 
-  /// The exact virtual instants ScheduleWindows placed sampling events
-  /// at. A boundary reads every client's counters — cross-lane state —
-  /// so the lane-parallel cluster must end a conservative run at each
-  /// one (LaneExecutor checkpoint phase) for the read to be safe and
-  /// worker-count independent.
-  const std::vector<SimTime>& boundaries() const { return boundaries_; }
-
   /// The collected series (after the run). Windows the clock never
   /// reached stay absent: the series length reflects simulated time.
   RunSeries TakeSeries();
@@ -101,7 +94,6 @@ class SeriesSampler {
   CumulativeFn cumulative_;
   SeriesSamplerOptions options_;
   StreamCertifier* certifier_ = nullptr;
-  std::vector<SimTime> boundaries_;
   NodeHeadroomTracker tracker_;
   Cumulative prev_;
   double prev_time_s_ = 0.0;

@@ -392,19 +392,5 @@ TEST(HealthRecordedRunTest, StableFig07RowsAreAlertFree) {
   }
 }
 
-TEST(HealthRecordedRunTest, HealthReportIsDeterministicAcrossLanes) {
-  // The health report is a pure function of the series, and the series
-  // is byte-identical at any lane count — so the journal must be too.
-  ClusterOptions options = RecordedRunOptions(EpsilonLevel::kLow, 2, 13);
-  options.measure_s = 30.0;
-  const SimResult serial = RunCluster(options);
-  options.lanes = 3;
-  const SimResult laned = RunCluster(options);
-  std::ostringstream a, b;
-  WriteHealthJson(serial.health, a);
-  WriteHealthJson(laned.health, b);
-  EXPECT_EQ(a.str(), b.str());
-}
-
 }  // namespace
 }  // namespace esr

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "esr/limits.h"
+#include "obs/trace.h"
 
 namespace esr {
 namespace {
@@ -38,20 +41,15 @@ TEST(ClusterTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.waits, b.waits);
 }
 
-TEST(ClusterTest, LaneWorkerCountDoesNotChangeAnyResult) {
-  // The --lanes determinism contract: worker threads only change who
-  // executes a conservative round, never what it computes. Every result
-  // field — including the per-window series and the merged latency
-  // distribution — must match byte for byte.
-  ClusterOptions serial = FastOptions(4, EpsilonLevel::kMedium, 99);
-  serial.collect_series = true;
-  serial.series_window_s = 1.0;
-  serial.lanes = 1;
-  ClusterOptions parallel = serial;
-  parallel.lanes = 8;  // clamped to mpl + 1 lanes internally
-
-  const SimResult a = RunCluster(serial);
-  const SimResult b = RunCluster(parallel);
+TEST(ClusterTest, EveryResultFieldIsDeterministicGivenSeed) {
+  // With the series sampler's events in the queue, every result field —
+  // including the per-window series and the merged latency distribution —
+  // must match between two runs of one seed.
+  ClusterOptions options = FastOptions(4, EpsilonLevel::kMedium, 99);
+  options.collect_series = true;
+  options.series_window_s = 1.0;
+  const SimResult a = RunCluster(options);
+  const SimResult b = RunCluster(options);
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_EQ(a.committed_query, b.committed_query);
   EXPECT_EQ(a.committed_update, b.committed_update);
@@ -73,6 +71,27 @@ TEST(ClusterTest, LaneWorkerCountDoesNotChangeAnyResult) {
               b.series.windows[i].mean_op_latency_ms);
   }
 }
+
+#ifndef ESR_TRACE_DISABLED
+TEST(ClusterTest, TraceIsInVirtualTimeOrder) {
+  // One time-ordered queue executes every site's events, so a capture of
+  // a run is recorded in virtual-time order: no timestamp steps back.
+  const bool was_enabled = GlobalTrace().enabled();
+  GlobalTrace().set_enabled(true);
+  ClusterOptions options = FastOptions(6, EpsilonLevel::kMedium, 5);
+  options.warmup_s = 0.5;
+  options.measure_s = 3.0;
+  RunCluster(options);
+  const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
+  GlobalTrace().set_enabled(was_enabled);
+  GlobalTrace().Reset();
+  ASSERT_GT(events.size(), 1000u);
+  for (size_t i = 1; i < events.size(); ++i) {
+    ASSERT_LE(events[i - 1].ts_micros, events[i].ts_micros)
+        << "event " << i << " of " << events.size();
+  }
+}
+#endif  // ESR_TRACE_DISABLED
 
 TEST(ClusterTest, DifferentSeedsDiffer) {
   const SimResult a = RunCluster(FastOptions(4, EpsilonLevel::kMedium, 1));

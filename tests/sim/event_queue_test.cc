@@ -73,6 +73,45 @@ TEST(EventQueueTest, RunUntilStopsAtBoundaryInclusive) {
   EXPECT_EQ(q.now(), 100);  // clock advances to the horizon
 }
 
+/// Deterministic ping-pong between sites sharing one queue: each site
+/// keeps a running hash of the times it ran at and bounces a message on
+/// to the next site.
+struct PingPong {
+  EventQueue queue;
+  std::vector<uint64_t> hash;
+
+  explicit PingPong(size_t sites) : hash(sites, 0) {
+    for (size_t i = 0; i < sites; ++i) {
+      queue.ScheduleAt(static_cast<SimTime>(10 * i + 5),
+                       [this, i] { Bounce(i, 40); });
+    }
+  }
+
+  void Bounce(size_t site, int hops) {
+    hash[site] = hash[site] * 1315423911u +
+                 static_cast<uint64_t>(queue.now());
+    if (hops == 0) return;
+    const size_t next = (site + 1) % hash.size();
+    queue.ScheduleAfter(1500, [this, next, hops] { Bounce(next, hops - 1); });
+  }
+};
+
+TEST(EventQueueTest, SplitRunsMatchOneRun) {
+  // RunUntil(a); RunUntil(b) must execute exactly what RunUntil(b)
+  // would: stopping points are observation points, not perturbations.
+  PingPong split(3);
+  split.queue.RunUntil(20'000);
+  split.queue.RunUntil(40'000);
+  split.queue.RunUntil(100'000);
+
+  PingPong whole(3);
+  whole.queue.RunUntil(100'000);
+
+  EXPECT_EQ(split.hash, whole.hash);
+  EXPECT_EQ(split.queue.executed(), whole.queue.executed());
+  EXPECT_EQ(split.queue.now(), 100'000);
+}
+
 TEST(EventQueueTest, EventsCanChainIndefinitely) {
   EventQueue q;
   int count = 0;
