@@ -4,8 +4,8 @@
 // across (shards, workers) configurations. Where the figure harnesses
 // measure the paper's discrete-event model, this measures the concurrent
 // implementation itself — per-shard latching, batched op submission, and
-// group commit — so the registry records how the engine scales as shards
-// and threads grow.
+// the committers' shard-by-shard apply — so the registry records how the
+// engine scales as shards and threads grow.
 //
 // Each configuration runs `seeds` times (fresh Server each run, only the
 // pool seed differs) and reports the mean throughput with the usual 90%
@@ -26,8 +26,8 @@
 // <dir>` to append to the cross-run trend registry for esr_bench_report.
 //
 // Single-core caveat: on one hardware thread the worker pool time-shares
-// a core, so the speedup column measures batching/group-commit
-// amortization, not parallelism. SPEED.md records both environments.
+// a core, so the speedup column measures batching amortization, not
+// parallelism. SPEED.md records both environments.
 
 #include <cstdint>
 #include <cstdio>
@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf(
       "\nspeedup is vs the 1-shard/1-worker serial baseline. On a "
-      "single-core host it\nmeasures batching and group-commit "
-      "amortization, not parallelism (SPEED.md).\n");
+      "single-core host it\nmeasures batching amortization, not "
+      "parallelism (SPEED.md).\n");
 
   const std::string json_path = JsonReport::PathFromArgs(argc, argv);
   const esr::Status json_status = report.WriteToFile(json_path);

@@ -80,9 +80,8 @@ bool SessionDriver::NextOp(OpRequest* out) {
       }
       return true;
     }
-    // Script exhausted: commit inline. For the sharded engine this blocks
-    // in group commit — the worker that drove us here is either a
-    // follower (cheap) or becomes the leader for the whole batch.
+    // Script exhausted: commit inline; the sharded engine applies the
+    // writes shard by shard on this worker's thread.
     if (server_->Commit(txn_).ok()) {
       ++stats_.committed;
       ++completed_;

@@ -17,22 +17,22 @@ namespace esr {
 
 /// Multi-field per-shard statistics, mutated only under the shard latch so
 /// a snapshot taken under the same latch is internally consistent (the
-/// torn-read regression test scrapes these mid-group-commit). The fields
-/// form a monotone chain every consistent snapshot satisfies:
+/// torn-read regression test scrapes these mid-commit). The fields form a
+/// monotone chain every consistent snapshot satisfies:
 ///
 ///   applied_writes >= committed_writes >= committed_writers
 ///                  >= commit_batches
 ///
-/// (every commit batch that touches the shard commits >= 1 writer, every
-/// writer commits >= 1 write, and every committed write was first applied
-/// as a shadow install).
+/// (a commit batch is one committing transaction's writes on the shard,
+/// so it has exactly one writer; every writer commits >= 1 write, and
+/// every committed write was first applied as a shadow install).
 struct ShardStats {
   int64_t ops = 0;             ///< Read/Write ops served under the latch.
   int64_t waits = 0;           ///< Ops answered kWait (strict ordering).
   int64_t applied_writes = 0;  ///< Shadow installs (ApplyWrite calls).
   int64_t committed_writes = 0;
   int64_t committed_writers = 0;  ///< Distinct txns with commits here.
-  int64_t commit_batches = 0;  ///< Group-commit batches with writes here.
+  int64_t commit_batches = 0;  ///< Commits with writes here.
 };
 
 /// One committed write, in the order the shard committed it. With

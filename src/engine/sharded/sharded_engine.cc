@@ -8,6 +8,21 @@
 #include "txn/esr_op.h"
 
 namespace esr {
+
+/// A pooled transaction shell. `by_shard` is commit and abort scratch: the
+/// write and read sets resolved to records and bucketed by shard; pooling
+/// keeps the buckets' capacity.
+struct ShardedTxn final : Transaction {
+  using Transaction::Transaction;
+
+  struct SetRef {
+    ObjectRecord* obj;
+    ObjectId object;
+    bool write;
+  };
+  std::vector<std::vector<SetRef>> by_shard;
+};
+
 namespace {
 
 size_t RoundUpPow2(size_t v) {
@@ -44,8 +59,6 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options,
   for (size_t i = 0; i < stripes; ++i) {
     stripes_.push_back(std::make_unique<TxnStripe>());
   }
-  leader_writes_.resize(map_.num_shards);
-  leader_reads_.resize(map_.num_shards);
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -80,10 +93,10 @@ void ShardedEngine::SetSharedBounds(const BoundSpec& import_bounds,
       schema_, export_bounds, ChargeDirection::kExport, shards_.size());
 }
 
-Transaction* ShardedEngine::FindLive(TxnId txn) {
+ShardedTxn* ShardedEngine::FindLive(TxnId txn) {
   TxnStripe& stripe = StripeFor(txn);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  std::unique_ptr<Transaction>* slot = stripe.map.Find(txn);
+  std::unique_ptr<ShardedTxn>* slot = stripe.map.Find(txn);
   return slot == nullptr ? nullptr : slot->get();
 }
 
@@ -92,18 +105,18 @@ TxnId ShardedEngine::Begin(TxnType type, Timestamp ts,
   ScopedPhaseTimer phase(ProfilePhase::kValidate);
   const TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   TxnStripe& stripe = StripeFor(id);
-  Transaction* txn;
+  ShardedTxn* txn;
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     if (!stripe.pool.empty()) {
-      std::unique_ptr<Transaction> shell = std::move(stripe.pool.back());
+      std::unique_ptr<ShardedTxn> shell = std::move(stripe.pool.back());
       stripe.pool.pop_back();
       shell->ResetForReuse(id, type, ts, bounds);
       txn = stripe.map.TryEmplace(id, std::move(shell)).first->get();
     } else {
       txn = stripe.map
-                .TryEmplace(id, std::make_unique<Transaction>(id, type, ts,
-                                                              schema_, bounds))
+                .TryEmplace(id, std::make_unique<ShardedTxn>(id, type, ts,
+                                                             schema_, bounds))
                 .first->get();
     }
   }
@@ -121,33 +134,41 @@ OpResult ShardedEngine::Write(TxnId txn, ObjectId object, Value value) {
   return ExecuteOne(OpRequest{txn, object, /*is_write=*/true, value});
 }
 
-OpResult ShardedEngine::ExecuteOne(const OpRequest& req) {
-  ScopedPhaseTimer phase(ProfilePhase::kValidate);
-  Transaction* t = FindLive(req.txn);
+ResolvedOp ShardedEngine::Resolve(const OpRequest& req, uint32_t index) {
+  ShardedTxn* t = FindLive(req.txn);
   ESR_CHECK(t != nullptr)
       << "operation on unknown/finished transaction " << req.txn;
-  Shard& shard = ShardForObject(req.object);
+  const size_t s = map_.ShardOf(req.object);
+  ObjectRecord& obj = shards_[s]->store().Get(map_.LocalId(req.object));
+  obj.Prefetch();
+  return ResolvedOp{t, &obj, static_cast<uint32_t>(s), index};
+}
+
+OpResult ShardedEngine::ExecuteOne(const OpRequest& req) {
+  ScopedPhaseTimer phase(ProfilePhase::kValidate);
+  const ResolvedOp op = Resolve(req, 0);
+  Shard& shard = *shards_[op.shard];
   OpResult r;
   {
     std::lock_guard<ProfiledMutex> lock(shard.latch());
-    r = ExecuteLocked(*t, req, shard);
+    r = ExecuteLocked(op, req, shard);
   }
-  if (r.kind == OpResult::Kind::kAbort) TeardownAbort(t, r.abort_reason);
+  if (r.kind == OpResult::Kind::kAbort) TeardownAbort(op.txn, r.abort_reason);
   return r;
 }
 
-OpResult ShardedEngine::ExecuteLocked(Transaction& txn, const OpRequest& req,
-                                      Shard& shard) {
+OpResult ShardedEngine::ExecuteLocked(const ResolvedOp& op,
+                                      const OpRequest& req, Shard& shard) {
   shard.latch().set_holder(req.txn);
+  Transaction& txn = *op.txn;
   TraceSpan op_span(SpanKind::kOp, req.txn, txn.ts().site, req.object,
                     txn.trace_span());
   const EsrOpContext ctx{&shard.data(), &shard.bound_stats(), &counters_,
                          shared_import_.get(), shared_export_.get(),
                          shard.index()};
-  ObjectRecord& obj = shard.store().Get(map_.LocalId(req.object));
   const OpResult r = req.is_write
-                         ? EsrWrite(txn, req.object, obj, req.value, ctx)
-                         : EsrRead(txn, req.object, obj, ctx);
+                         ? EsrWrite(txn, req.object, *op.obj, req.value, ctx)
+                         : EsrRead(txn, req.object, *op.obj, ctx);
   ShardStats& stats = shard.stats();
   stats.ops++;
   if (r.kind == OpResult::Kind::kWait) {
@@ -162,33 +183,33 @@ void ShardedEngine::ExecuteBatch(OpBatch& batch) {
   ScopedPhaseTimer phase(ProfilePhase::kValidate);
   const size_t n = shards_.size();
   if (batch.by_shard.size() < n) batch.by_shard.resize(n);
-  for (auto& idx : batch.by_shard) idx.clear();
+  for (auto& ops : batch.by_shard) ops.clear();
   batch.aborted.clear();
   batch.results.clear();
   batch.results.resize(batch.reqs.size());
+  // One pass resolves, prefetches and groups: by the time a shard's latch
+  // is taken, the misses on its records have been in flight together.
   for (size_t i = 0; i < batch.reqs.size(); ++i) {
-    batch.by_shard[map_.ShardOf(batch.reqs[i].object)].push_back(
-        static_cast<uint32_t>(i));
+    const ResolvedOp op = Resolve(batch.reqs[i], static_cast<uint32_t>(i));
+    batch.by_shard[op.shard].push_back(op);
   }
   for (size_t s = 0; s < n; ++s) {
-    const std::vector<uint32_t>& idx = batch.by_shard[s];
-    if (idx.empty()) continue;
+    const std::vector<ResolvedOp>& ops = batch.by_shard[s];
+    if (ops.empty()) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<ProfiledMutex> lock(shard.latch());
-    for (const uint32_t i : idx) {
-      const OpRequest& req = batch.reqs[i];
-      Transaction* t = FindLive(req.txn);
-      ESR_CHECK(t != nullptr)
-          << "batched operation on unknown/finished transaction " << req.txn;
-      const OpResult r = ExecuteLocked(*t, req, shard);
-      batch.results[i] = r;
+    for (const ResolvedOp& op : ops) {
+      const OpResult r = ExecuteLocked(op, batch.reqs[op.index], shard);
+      batch.results[op.index] = r;
       if (r.kind == OpResult::Kind::kAbort) {
-        batch.aborted.emplace_back(t, r.abort_reason);
+        batch.aborted.emplace_back(op.txn, r.abort_reason);
       }
     }
   }
   // Teardown outside every shard latch: abort restore touches the
-  // transaction's whole write set, which can span other shards.
+  // transaction's whole write set, which can span other shards. A batch
+  // holds one op per transaction, so no resolved op outlives its
+  // transaction here.
   for (const auto& entry : batch.aborted) {
     TeardownAbort(entry.first, entry.second);
   }
@@ -196,108 +217,72 @@ void ShardedEngine::ExecuteBatch(OpBatch& batch) {
 
 Status ShardedEngine::Commit(TxnId txn) {
   ScopedPhaseTimer phase(ProfilePhase::kCommit);
-  Transaction* t = FindLive(txn);
+  ShardedTxn* t = FindLive(txn);
   if (t == nullptr) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
   }
-  CommitWaiter waiter;
-  waiter.txn = t;
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_queue_.push_back(&waiter);
-  if (commit_leader_active_) {
-    // Follower: a leader is draining; it will commit us and flip done.
-    // The block is pure waiting, so it books as kLockWait (not commit
-    // work) and charges a dedicated contention site — group-commit
-    // convoying shows up in the blocker tables instead of hiding
-    // inside kCommit self-time. The leader's txn id is not tracked
-    // across the handoff, so the wait is unattributed.
-    ScopedPhaseTimer wait_phase(ProfilePhase::kLockWait);
-    ScopedSiteWait wait(GlobalProfiler().site("engine.group_commit.follower"),
-                        kInvalidTxnId);
-    commit_cv_.wait(lock, [&waiter] { return waiter.done; });
-    return Status::OK();
+  {
+    // The shard-store mutation is apply work, nested under kCommit.
+    ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
+    FinishSets(t, /*commit=*/true);
   }
-  // Leader: drain the queue in batches until it runs dry. Our own waiter
-  // is in the first batch. Leadership (and with it the leader_* scratch)
-  // hands off through commit_mu_, which orders successive leaders.
-  commit_leader_active_ = true;
-  while (!commit_queue_.empty()) {
-    leader_batch_.clear();
-    leader_batch_.swap(commit_queue_);
-    lock.unlock();
-    ProcessCommitBatch(leader_batch_);
-    lock.lock();
-    for (CommitWaiter* w : leader_batch_) w->done = true;
-    commit_cv_.notify_all();
+  commits_total_.fetch_add(1, std::memory_order_relaxed);
+  {
+    TraceSpan commit_span(SpanKind::kCommit, txn, t->ts().site, 0,
+                          t->trace_span());
+    OnTxnEnd(*t, TxnState::kCommitted, AbortReason::kNone, counters_);
   }
-  commit_leader_active_ = false;
+  UnchargeShared(*t);
+  ReleaseTxn(t);
   return Status::OK();
 }
 
-void ShardedEngine::ProcessCommitBatch(
-    const std::vector<CommitWaiter*>& batch) {
-  // The batched shard-store mutation is apply work, not commit
-  // bookkeeping: attribute it to kApply (nested under the leader's
-  // kCommit scope) so batch size shows up in the phase attribution.
-  ScopedPhaseTimer apply_phase(ProfilePhase::kApply);
-  // Txn-major fill keeps each transaction's refs contiguous per shard, so
-  // the distinct-writer count below is a simple adjacency check.
-  for (CommitWaiter* w : batch) {
-    Transaction* t = w->txn;
-    for (const ObjectId object : t->pending_writes()) {
-      leader_writes_[map_.ShardOf(object)].push_back({t, object});
-    }
-    for (const ObjectId object : t->registered_reads()) {
-      leader_reads_[map_.ShardOf(object)].push_back({t, object});
-    }
-  }
-  commit_batches_total_.fetch_add(1, std::memory_order_relaxed);
+void ShardedEngine::FinishSets(ShardedTxn* txn, bool commit) {
+  auto& by_shard = txn->by_shard;
+  if (by_shard.size() < shards_.size()) by_shard.resize(shards_.size());
+  auto add = [&](ObjectId object, bool write) {
+    const size_t s = map_.ShardOf(object);
+    ObjectRecord& obj = shards_[s]->store().Get(map_.LocalId(object));
+    obj.Prefetch();
+    by_shard[s].push_back({&obj, object, write});
+  };
+  for (const ObjectId object : txn->pending_writes()) add(object, true);
+  for (const ObjectId object : txn->registered_reads()) add(object, false);
+  const TxnId id = txn->id();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    std::vector<PendingRef>& writes = leader_writes_[s];
-    std::vector<PendingRef>& reads = leader_reads_[s];
-    if (writes.empty() && reads.empty()) continue;
+    std::vector<ShardedTxn::SetRef>& refs = by_shard[s];
+    if (refs.empty()) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<ProfiledMutex> lock(shard.latch());
+    shard.latch().set_holder(id);
     ShardStats& stats = shard.stats();
-    if (!writes.empty()) {
-      stats.commit_batches++;
-      const Transaction* prev = nullptr;
-      for (const PendingRef& ref : writes) {
-        ObjectRecord& obj = shard.store().Get(map_.LocalId(ref.object));
-        obj.CommitWrite(ref.txn->id());
-        shard.RecordCommit(ref.object, ref.txn->id(), obj.write_ts());
+    bool wrote = false;
+    for (const ShardedTxn::SetRef& ref : refs) {
+      if (!ref.write) {
+        ref.obj->UnregisterQueryReader(id);
+      } else if (commit) {
+        ref.obj->CommitWrite(id);
+        shard.RecordCommit(ref.object, id, ref.obj->write_ts());
         stats.committed_writes++;
-        if (ref.txn != prev) {
-          stats.committed_writers++;
-          prev = ref.txn;
-        }
+        wrote = true;
+      } else {
+        ref.obj->AbortWrite(id);
       }
     }
-    for (const PendingRef& ref : reads) {
-      shard.store()
-          .Get(map_.LocalId(ref.object))
-          .UnregisterQueryReader(ref.txn->id());
+    refs.clear();
+    // One committing transaction is one commit batch on each shard it
+    // writes, which keeps the stats chain's last link.
+    if (wrote) {
+      stats.committed_writers++;
+      stats.commit_batches++;
     }
-    writes.clear();
-    reads.clear();
   }
-  for (CommitWaiter* w : batch) FinishCommit(w->txn);
-}
-
-void ShardedEngine::FinishCommit(Transaction* txn) {
-  {
-    TraceSpan commit_span(SpanKind::kCommit, txn->id(), txn->ts().site, 0,
-                          txn->trace_span());
-    OnTxnEnd(*txn, TxnState::kCommitted, AbortReason::kNone, counters_);
-  }
-  UnchargeShared(*txn);
-  ReleaseTxn(txn);
 }
 
 Status ShardedEngine::Abort(TxnId txn) {
   ScopedPhaseTimer phase(ProfilePhase::kCommit);
-  Transaction* t = FindLive(txn);
+  ShardedTxn* t = FindLive(txn);
   if (t == nullptr) {
     return Status::FailedPrecondition("transaction " + std::to_string(txn) +
                                       " is not active");
@@ -308,43 +293,12 @@ Status ShardedEngine::Abort(TxnId txn) {
   return Status::OK();
 }
 
-void ShardedEngine::TeardownAbort(Transaction* txn, AbortReason reason) {
+void ShardedEngine::TeardownAbort(ShardedTxn* txn, AbortReason reason) {
   // Abort teardown is commit-path work whichever op triggered it; the
-  // nested scope keeps shadow recovery out of kValidate self-time when
-  // a mid-operation abort lands here.
+  // nested scope keeps shadow recovery (Sec. 6) out of kValidate
+  // self-time when a mid-operation abort lands here.
   ScopedPhaseTimer phase(ProfilePhase::kCommit);
-  // Shadow-value recovery shard by shard (Sec. 6): one latch at a time,
-  // ascending, filtering the write/read sets per shard. Aborts are the
-  // cold path; the filter scan is cheaper than per-shard scratch here.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    bool touches = false;
-    for (const ObjectId object : txn->pending_writes()) {
-      if (map_.ShardOf(object) == s) {
-        touches = true;
-        break;
-      }
-    }
-    if (!touches) {
-      for (const ObjectId object : txn->registered_reads()) {
-        if (map_.ShardOf(object) == s) {
-          touches = true;
-          break;
-        }
-      }
-    }
-    if (!touches) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<ProfiledMutex> lock(shard.latch());
-    shard.latch().set_holder(txn->id());
-    for (const ObjectId object : txn->pending_writes()) {
-      if (map_.ShardOf(object) != s) continue;
-      shard.store().Get(map_.LocalId(object)).AbortWrite(txn->id());
-    }
-    for (const ObjectId object : txn->registered_reads()) {
-      if (map_.ShardOf(object) != s) continue;
-      shard.store().Get(map_.LocalId(object)).UnregisterQueryReader(txn->id());
-    }
-  }
+  FinishSets(txn, /*commit=*/false);
   OnTxnEnd(*txn, TxnState::kAborted, reason, counters_);
   UnchargeShared(*txn);
   ReleaseTxn(txn);
@@ -366,11 +320,11 @@ void ShardedEngine::UnchargeShared(const Transaction& txn) {
   }
 }
 
-void ShardedEngine::ReleaseTxn(Transaction* txn) {
+void ShardedEngine::ReleaseTxn(ShardedTxn* txn) {
   const TxnId id = txn->id();
   TxnStripe& stripe = StripeFor(id);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  std::unique_ptr<Transaction>* slot = stripe.map.Find(id);
+  std::unique_ptr<ShardedTxn>* slot = stripe.map.Find(id);
   ESR_CHECK(slot != nullptr) << "double release of transaction " << id;
   stripe.pool.push_back(std::move(*slot));
   stripe.map.Erase(id);
@@ -386,7 +340,7 @@ bool ShardedEngine::IsActive(TxnId txn) const {
 const Transaction* ShardedEngine::Find(TxnId txn) const {
   const TxnStripe& stripe = StripeFor(txn);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  const std::unique_ptr<Transaction>* slot = stripe.map.Find(txn);
+  const std::unique_ptr<ShardedTxn>* slot = stripe.map.Find(txn);
   return slot == nullptr ? nullptr : slot->get();
 }
 
@@ -410,7 +364,7 @@ void ShardedEngine::ExportShardGauges(MetricRegistry* metrics) {
   metrics->gauge("engine.shards").Set(static_cast<double>(shards_.size()));
   metrics->gauge("engine.commit_batches")
       .Set(static_cast<double>(
-          commit_batches_total_.load(std::memory_order_relaxed)));
+          commits_total_.load(std::memory_order_relaxed)));
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ShardStats stats = shards_[s]->SnapshotStats();
     const std::string prefix = "engine.shard" + std::to_string(s);

@@ -2,7 +2,6 @@
 #define ESR_ENGINE_SHARDED_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -42,6 +41,19 @@ struct OpRequest {
   Value value = 0;
 };
 
+/// A sharded-engine transaction (defined in sharded_engine.cc).
+struct ShardedTxn;
+
+/// One op resolved ahead of its shard latch: the live transaction, the
+/// object's record (already prefetched), its shard and its slot in the
+/// batch.
+struct ResolvedOp {
+  ShardedTxn* txn = nullptr;
+  ObjectRecord* obj = nullptr;
+  uint32_t shard = 0;
+  uint32_t index = 0;
+};
+
 /// Reusable batch container: submit ops in `reqs`, read verdicts from
 /// `results` (parallel arrays). The internal scratch keeps its capacity
 /// across calls, so a worker looping on one OpBatch stays off the
@@ -50,9 +62,9 @@ struct OpBatch {
   std::vector<OpRequest> reqs;
   std::vector<OpResult> results;
 
-  // ExecuteBatch scratch (per-shard index lists, abort worklist).
-  std::vector<std::vector<uint32_t>> by_shard;
-  std::vector<std::pair<Transaction*, AbortReason>> aborted;
+  // ExecuteBatch scratch (resolved ops per shard, abort worklist).
+  std::vector<std::vector<ResolvedOp>> by_shard;
+  std::vector<std::pair<ShardedTxn*, AbortReason>> aborted;
 };
 
 /// The multi-core ESR engine: the paper's TO protocol (Fig. 3 relaxations,
@@ -69,15 +81,14 @@ struct OpBatch {
 ///  * Transaction state lives in a striped table (mutex + FlatMap of
 ///    unique_ptr per stripe, so pointers survive backward-shift erases of
 ///    their neighbors). A Transaction's contents are only ever touched by
-///    its owning session thread and, at commit, by the group-commit
-///    leader — handoff through the commit queue's mutex orders the two.
-///  * Commit is group commit: committers enqueue and the first becomes
-///    leader, draining the queue in batches. The leader takes each
-///    touched shard's latch once per batch (commits all writes and
-///    reader deregistrations for that shard together), then finishes
-///    every transaction and wakes its waiter. Followers block on the
-///    condition variable — the group amortizes latch traffic under high
-///    MPL.
+///    its owning session thread.
+///  * Ops are resolved before any latch: ExecuteBatch looks up each op's
+///    transaction and record and prefetches the record while it groups
+///    the batch by shard, so a batch's cache misses overlap instead of
+///    landing one at a time under the latch.
+///  * The committer applies its own writes and reader deregistrations
+///    shard by shard, one latch at a time in ascending shard order, as
+///    abort teardown restores shadows.
 ///  * Per-transaction accumulators work exactly as in the single-latch
 ///    engine (same trace events, so BoundWalkReplayer / StreamCertifier
 ///    recertify unchanged). An optional engine-wide budget
@@ -118,9 +129,9 @@ class ShardedEngine final : public TransactionEngine {
 
   // -- Batched submission --------------------------------------------------
   /// Executes every op in `batch.reqs`, filling `batch.results`. Ops are
-  /// grouped by shard so each shard latch is taken once per batch. At
-  /// most one op per transaction per batch; `batch` must not be shared
-  /// between threads concurrently.
+  /// resolved and grouped by shard so each shard latch is taken once per
+  /// batch. At most one op per transaction per batch; `batch` must not be
+  /// shared between threads concurrently.
   void ExecuteBatch(OpBatch& batch);
 
   // -- Engine-wide epsilon budget ------------------------------------------
@@ -147,11 +158,11 @@ class ShardedEngine final : public TransactionEngine {
   const std::vector<CommitLogEntry>& commit_log(size_t shard) const;
 
   /// Publishes `engine.shard<i>.*` gauges from consistent per-shard
-  /// snapshots (one latch acquisition per shard), the group-commit batch
-  /// counters, and — when shared bounds are installed — the shared
-  /// accumulators' in-flight node totals. Safe concurrently with running
-  /// operations and group commit; the scrape serializes on each shard
-  /// latch briefly instead of reading fields torn.
+  /// snapshots (one latch acquisition per shard), the commit counter,
+  /// and — when shared bounds are installed — the shared accumulators'
+  /// in-flight node totals. Safe concurrently with running operations and
+  /// commits; the scrape serializes on each shard latch briefly instead of
+  /// reading fields torn.
   void ExportShardGauges(MetricRegistry* metrics);
 
   /// Sum of all committed object values across shards (quiescent only).
@@ -168,9 +179,9 @@ class ShardedEngine final : public TransactionEngine {
     return shards_[map_.ShardOf(id)]->store().Get(map_.LocalId(id));
   }
 
-  /// Group-commit batches the leader processed (relaxed).
+  /// Commits applied, one per committing transaction (relaxed).
   int64_t commit_batches() const {
-    return commit_batches_total_.load(std::memory_order_relaxed);
+    return commits_total_.load(std::memory_order_relaxed);
   }
 
   MetricRegistry& metrics() { return *metrics_; }
@@ -179,21 +190,8 @@ class ShardedEngine final : public TransactionEngine {
  private:
   struct TxnStripe {
     mutable std::mutex mu;
-    FlatMap<TxnId, std::unique_ptr<Transaction>> map;
-    std::vector<std::unique_ptr<Transaction>> pool;
-  };
-
-  /// One committer parked in the group-commit queue.
-  struct CommitWaiter {
-    Transaction* txn = nullptr;
-    bool done = false;
-  };
-
-  /// (transaction, global object id) pair on the leader's per-shard
-  /// apply lists.
-  struct PendingRef {
-    Transaction* txn;
-    ObjectId object;
+    FlatMap<TxnId, std::unique_ptr<ShardedTxn>> map;
+    std::vector<std::unique_ptr<ShardedTxn>> pool;
   };
 
   TxnStripe& StripeFor(TxnId txn) {
@@ -202,42 +200,45 @@ class ShardedEngine final : public TransactionEngine {
   const TxnStripe& StripeFor(TxnId txn) const {
     return *stripes_[static_cast<size_t>(txn) & stripe_mask_];
   }
-  Shard& ShardForObject(ObjectId object) {
-    return *shards_[map_.ShardOf(object)];
-  }
 
   /// Live transaction lookup; the caller must be its owning session (the
   /// pointer stays valid because only the owner can finish it).
-  Transaction* FindLive(TxnId txn);
+  ShardedTxn* FindLive(TxnId txn);
 
-  /// Read/Write body: one op under its shard latch, then — on an abort
-  /// verdict — TeardownAbort after the latch is released.
+  /// Takes no latch: finds the op's live transaction and its object's
+  /// record, and prefetches the record. The record stays put (stores
+  /// never reallocate) and only the owning session can finish the
+  /// transaction, so both pointers stay valid until the op has run.
+  ResolvedOp Resolve(const OpRequest& req, uint32_t index);
+
+  /// Read/Write body: one resolved op under its shard latch, then — on an
+  /// abort verdict — TeardownAbort after the latch is released.
   OpResult ExecuteOne(const OpRequest& req);
 
-  /// One operation under the held shard latch: the shared TO-ESR op path
-  /// (txn/esr_op.h) on the shard's slice and the engine-wide budgets, plus
-  /// the shard's ops/waits/applied_writes stats. An abort verdict leaves
-  /// the transaction intact; the caller must release the latch first,
-  /// then call TeardownAbort with the result's reason.
-  OpResult ExecuteLocked(Transaction& txn, const OpRequest& req,
+  /// One resolved operation under the held shard latch: the shared TO-ESR
+  /// op path (txn/esr_op.h) on the shard's slice and the engine-wide
+  /// budgets, plus the shard's ops/waits/applied_writes stats. An abort
+  /// verdict leaves the transaction intact; the caller must release the
+  /// latch first, then call TeardownAbort with the result's reason.
+  OpResult ExecuteLocked(const ResolvedOp& op, const OpRequest& req,
                          Shard& shard);
 
-  /// Group-commit leader body: apply every batch member's writes and
-  /// reader deregistrations shard by shard, then finish each transaction.
-  void ProcessCommitBatch(const std::vector<CommitWaiter*>& batch);
-  void FinishCommit(Transaction* txn);
+  /// Ends the transaction's writes (commit or shadow restore) and
+  /// deregisters its reads, shard by shard in ascending order with one
+  /// latch held at a time. Every record is resolved and prefetched before
+  /// the first latch. Must be called with no shard latch held.
+  void FinishSets(ShardedTxn* txn, bool commit);
 
-  /// Abort teardown (op-failure or user abort): restores shadows and
-  /// deregisters readers shard by shard (one latch at a time), emits the
-  /// abort events, releases shared charges, recycles the shell. Must be
-  /// called with no shard latch held.
-  void TeardownAbort(Transaction* txn, AbortReason reason);
+  /// Abort teardown (op-failure or user abort): FinishSets, then the
+  /// abort events, the shared-charge release and the shell's recycling.
+  /// Must be called with no shard latch held.
+  void TeardownAbort(ShardedTxn* txn, AbortReason reason);
 
   /// Returns the txn's charges to the shared budgets.
   void UnchargeShared(const Transaction& txn);
 
   /// Removes the transaction from its stripe and recycles the shell.
-  void ReleaseTxn(Transaction* txn);
+  void ReleaseTxn(ShardedTxn* txn);
 
   const GroupSchema* schema_;
   MetricRegistry* metrics_;
@@ -254,17 +255,7 @@ class ShardedEngine final : public TransactionEngine {
   std::unique_ptr<ShardedAccumulator> shared_import_;
   std::unique_ptr<ShardedAccumulator> shared_export_;
 
-  // -- Group commit --------------------------------------------------------
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  std::vector<CommitWaiter*> commit_queue_;
-  bool commit_leader_active_ = false;
-  /// Leader-only scratch (leadership hands off under commit_mu_, which
-  /// orders successive leaders' accesses).
-  std::vector<CommitWaiter*> leader_batch_;
-  std::vector<std::vector<PendingRef>> leader_writes_;
-  std::vector<std::vector<PendingRef>> leader_reads_;
-  std::atomic<int64_t> commit_batches_total_{0};
+  std::atomic<int64_t> commits_total_{0};
 
   EngineCounters counters_;
 };

@@ -3,7 +3,9 @@
 // single-threaded through one scripted schedule that reaches every Fig. 3
 // branch and every bound-check outcome. Both must return field-identical
 // OpResults, leave identical engine counters, and end with identical
-// committed object values.
+// committed object values. A second schedule submits multi-op batches
+// through ShardedEngine::ExecuteBatch and compares them with the TO
+// engine's one-op-at-a-time run of the same ops.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +48,8 @@ struct Subject {
   std::unique_ptr<ObjectStore> store;
   std::unique_ptr<TransactionEngine> engine;
   std::function<ObjectRecord&(ObjectId)> object;
+  /// Set on sharded subjects, which run Script::Batch as one ExecuteBatch.
+  ShardedEngine* sharded = nullptr;
 };
 
 Subject MakeToEngine(const GroupSchema* schema) {
@@ -65,6 +69,7 @@ Subject MakeShardedEngine(const GroupSchema* schema, size_t shards) {
   auto engine = std::make_unique<ShardedEngine>(opt, StoreOptions(), schema,
                                                 s.metrics.get());
   ShardedEngine* raw = engine.get();
+  s.sharded = raw;
   s.engine = std::move(engine);
   s.object = [raw](ObjectId id) -> ObjectRecord& { return raw->ObjectAt(id); };
   return s;
@@ -109,6 +114,49 @@ class Script {
     const TxnId id = ids_.at(name);
     return Log("write " + name + " x" + std::to_string(object), id,
                engine().Write(id, object, value));
+  }
+
+  /// One op of a batch.
+  struct Op {
+    std::string txn;
+    ObjectId object;
+    bool is_write;
+    Value value;
+  };
+  static Op R(const std::string& txn, ObjectId object) {
+    return Op{txn, object, false, 0};
+  }
+  static Op W(const std::string& txn, ObjectId object, Value value) {
+    return Op{txn, object, true, value};
+  }
+
+  /// Runs `ops` as one ExecuteBatch on a sharded subject and one
+  /// Read/Write at a time, in order, on the TO engine; returns the results
+  /// in request order. Activity is logged after the whole batch.
+  std::vector<OpResult> Batch(const std::vector<Op>& ops) {
+    std::vector<OpResult> results;
+    if (subject_.sharded != nullptr) {
+      OpBatch batch;
+      for (const Op& op : ops) {
+        batch.reqs.push_back(
+            OpRequest{ids_.at(op.txn), op.object, op.is_write, op.value});
+      }
+      subject_.sharded->ExecuteBatch(batch);
+      results = batch.results;
+    } else {
+      for (const Op& op : ops) {
+        const TxnId id = ids_.at(op.txn);
+        results.push_back(op.is_write ? engine().Write(id, op.object, op.value)
+                                      : engine().Read(id, op.object));
+      }
+    }
+    EXPECT_EQ(results.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      Log(std::string(ops[i].is_write ? "batched write " : "batched read ") +
+              ops[i].txn + " x" + std::to_string(ops[i].object),
+          ids_.at(ops[i].txn), results[i]);
+    }
+    return results;
   }
 
   void Commit(const std::string& name) {
@@ -247,6 +295,81 @@ void RunSchedule(Script& s, GroupId hot) {
   s.Commit("q1");
 }
 
+/// The batch schedule. Every batch holds one op per transaction on
+/// distinct objects, so its verdicts do not depend on the order the ops
+/// run in, and at 4 shards every batch touches every shard.
+void RunBatchSchedule(Script& s) {
+  const BoundSpec sr = BoundSpec::TransactionOnly(0);
+  const BoundSpec til = BoundSpec::TransactionOnly(5000);
+
+  s.Begin("u1", TxnType::kUpdate, 100, sr);
+  s.Begin("u2", TxnType::kUpdate, 110, sr);
+  s.Begin("q1", TxnType::kQuery, 120, til);
+  s.Begin("u3", TxnType::kUpdate, 130, sr);
+  std::vector<OpResult> r = s.Batch({Script::W("u1", 0, 1500),
+                                     Script::W("u2", 1, 2500), Script::R("q1", 2),
+                                     Script::W("u3", 3, 4400)});
+  ExpectOk(r[0], 1500, 0.0, false);
+  ExpectOk(r[1], 2500, 0.0, false);
+  ExpectOk(r[2], 3000, 0.0, false);
+  ExpectOk(r[3], 4400, 0.0, false);
+  s.Commit("u3");
+
+  // u2 wrote x1 and aborts mid-batch on a late write against q1's read;
+  // u4 waits on u1's uncommitted write; q2 reads late, relaxed (case 1).
+  s.Begin("u4", TxnType::kUpdate, 140, sr);
+  s.Begin("q2", TxnType::kQuery, 50, til);
+  s.Begin("q3", TxnType::kQuery, 150, til);
+  r = s.Batch({Script::W("u1", 4, 5500), Script::W("u2", 2, 3700), Script::R("q2", 3),
+               Script::R("u4", 0), Script::R("q3", 5)});
+  ExpectOk(r[0], 5500, 0.0, false);
+  ExpectAbort(r[1], AbortReason::kLateWrite);
+  ExpectOk(r[2], 4400, 400.0, true);
+  EXPECT_EQ(r[3].kind, OpResult::Kind::kWait);
+  EXPECT_EQ(r[3].blocker, s.id("u1"));
+  ExpectOk(r[4], 6000, 0.0, false);
+  s.Commit("u1");
+
+  // The wait resolves; u2's write on x1 was restored; q2 reads late again.
+  s.Begin("u5", TxnType::kUpdate, 160, sr);
+  r = s.Batch({Script::R("u4", 0), Script::R("q3", 1), Script::R("q1", 6),
+               Script::R("q2", 4), Script::W("u5", 7, 8800)});
+  ExpectOk(r[0], 1500, 0.0, false);
+  ExpectOk(r[1], 2000, 0.0, false);
+  ExpectOk(r[2], 7000, 0.0, false);
+  ExpectOk(r[3], 5500, 500.0, true);
+  ExpectOk(r[4], 8800, 0.0, false);
+  for (const char* name : {"u4", "u5", "q1", "q2", "q3"}) s.Commit(name);
+}
+
+/// Asserts that two runs logged field-identical verdicts, left identical
+/// counters and no live transaction, and end with identical values.
+void ExpectSameRun(Subject& to, const Script& to_script, Subject& sharded,
+                   const Script& sharded_script) {
+  const auto& want = to_script.log();
+  const auto& got = sharded_script.log();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(want[i].what);
+    EXPECT_EQ(got[i].what, want[i].what);
+    EXPECT_EQ(got[i].result.kind, want[i].result.kind);
+    EXPECT_EQ(got[i].result.value, want[i].result.value);
+    EXPECT_EQ(got[i].result.blocker, want[i].result.blocker);
+    EXPECT_EQ(got[i].result.abort_reason, want[i].result.abort_reason);
+    EXPECT_EQ(got[i].result.inconsistency, want[i].result.inconsistency);
+    EXPECT_EQ(got[i].result.relaxed, want[i].result.relaxed);
+    EXPECT_EQ(got[i].active_after, want[i].active_after);
+  }
+  EXPECT_EQ(sharded.metrics->CounterSnapshot(), to.metrics->CounterSnapshot());
+  EXPECT_EQ(sharded.engine->num_active(), 0u);
+  EXPECT_EQ(to.engine->num_active(), 0u);
+  for (ObjectId id = 0; id < kObjects; ++id) {
+    EXPECT_EQ(sharded.object(id).value(), to.object(id).value())
+        << "object " << id;
+    EXPECT_FALSE(sharded.object(id).has_uncommitted_write()) << id;
+  }
+}
+
 class EngineDifferentialTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(EngineDifferentialTest, ShardedMatchesSingleLatchEngine) {
@@ -270,29 +393,27 @@ TEST_P(EngineDifferentialTest, ShardedMatchesSingleLatchEngine) {
     SCOPED_TRACE("sharded engine");
     RunSchedule(sharded_script, hot);
   }
+  ExpectSameRun(to, to_script, sharded, sharded_script);
+}
 
-  const auto& want = to_script.log();
-  const auto& got = sharded_script.log();
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    SCOPED_TRACE(want[i].what);
-    EXPECT_EQ(got[i].what, want[i].what);
-    EXPECT_EQ(got[i].result.kind, want[i].result.kind);
-    EXPECT_EQ(got[i].result.value, want[i].result.value);
-    EXPECT_EQ(got[i].result.blocker, want[i].result.blocker);
-    EXPECT_EQ(got[i].result.abort_reason, want[i].result.abort_reason);
-    EXPECT_EQ(got[i].result.inconsistency, want[i].result.inconsistency);
-    EXPECT_EQ(got[i].result.relaxed, want[i].result.relaxed);
-    EXPECT_EQ(got[i].active_after, want[i].active_after);
+TEST_P(EngineDifferentialTest, BatchedMatchesSingleOpEngine) {
+  GroupSchema schema;
+  Subject to = MakeToEngine(&schema);
+  Subject sharded = MakeShardedEngine(&schema, GetParam());
+  LoadObjects(to);
+  LoadObjects(sharded);
+
+  Script to_script(to);
+  Script sharded_script(sharded);
+  {
+    SCOPED_TRACE("TO engine");
+    RunBatchSchedule(to_script);
   }
-  EXPECT_EQ(sharded.metrics->CounterSnapshot(), to.metrics->CounterSnapshot());
-  EXPECT_EQ(sharded.engine->num_active(), 0u);
-  EXPECT_EQ(to.engine->num_active(), 0u);
-  for (ObjectId id = 0; id < kObjects; ++id) {
-    EXPECT_EQ(sharded.object(id).value(), to.object(id).value())
-        << "object " << id;
-    EXPECT_FALSE(sharded.object(id).has_uncommitted_write()) << id;
+  {
+    SCOPED_TRACE("sharded engine, batched");
+    RunBatchSchedule(sharded_script);
   }
+  ExpectSameRun(to, to_script, sharded, sharded_script);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, EngineDifferentialTest,

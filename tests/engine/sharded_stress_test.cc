@@ -292,7 +292,7 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ShardedStressTest,
     ::testing::Values(
         // Single shard: the degenerate case, everything serializes on one
-        // latch but group commit still batches.
+        // latch.
         StressConfig{Label::kOneShardMpl16, 1, 16, 4, 30, 11},
         // The mid configuration, re-run under three seeds (the TSan CI
         // job replays these). Slightly wider hot set than the default:
