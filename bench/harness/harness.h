@@ -12,6 +12,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "esr/limits.h"
+#include "obs/health.h"
 #include "sim/cluster.h"
 
 namespace esr {
@@ -196,7 +197,7 @@ class Sweep {
   const StreamCertification& certification() const { return certification_; }
 
   /// After Run(), replays the pinned telemetry run's window series
-  /// through the standard HealthMonitor detector set (obs/health.h) and
+  /// through the HealthMonitor detectors (obs/health.h) and
   /// writes the alert journal JSON to `path` (no-op when empty). Shares
   /// the series exporter's schedule position — the last scheduled
   /// (config, seed) run — and forces series collection on that run even

@@ -47,15 +47,12 @@
 // final epsilon level: per-phase cost attribution, per-site contention
 // histograms, and blocked-by tables, written as JSON for tools/esr_profile
 // (and live profile.* gauges on /metrics while the level runs).
-// --health runs the windowed anomaly-detection engine (obs/health.h)
-// live: every 1 s wall-clock window the sampler feeds the commit/abort
-// deltas, active MPL, per-node headroom, and per-shard op deltas to the
-// detector set; open episodes surface as esr_alert_active{detector=...}
-// / esr_alert_count gauges on /metrics, and the alert journal is
-// written as JSON (readable by tools/esr_health --journal). These
-// windows are *wall-clock* — certification watermarks live in the
-// certifier's own epoch, so the stall detector is left to recorded-run
-// replay where both clocks are virtual (see DESIGN.md).
+// --health runs the windowed anomaly detectors (obs/health.h) live:
+// every 1 s wall-clock window the sampler feeds the commit/abort deltas
+// and active MPL to the abort_livelock and thrashing_bistability
+// detectors; open episodes surface as esr_alert_active{detector=...} /
+// esr_alert_count gauges on /metrics, and the alert journal is written
+// as JSON (readable by tools/esr_series --journal).
 //
 // SIGINT/SIGTERM interrupt the run cleanly: clients drain at the next
 // safe point, every requested output (metrics JSON, trace, profile,
@@ -435,9 +432,6 @@ int main(int argc, char** argv) {
       esr::HealthOptions health_options;
       health_options.source = "threaded_server";
       health_options.window_s = 1.0;
-      for (esr::GroupId g = 0; g < server.schema().num_groups(); ++g) {
-        health_options.node_names.push_back(server.schema().name(g));
-      }
       health = std::make_unique<esr::HealthMonitor>(health_options);
     }
     std::atomic<bool> sampling{true};
@@ -451,7 +445,6 @@ int main(int argc, char** argv) {
       // are the per-window committed/aborted the detectors consume.
       int64_t prev_committed = 0;
       int64_t prev_aborted = 0;
-      std::vector<int64_t> prev_shard_ops;
       auto fold_window = [&](double duration_s) {
         esr::SeriesWindow w;
         w.start_s = static_cast<double>(headroom_series.windows.size());
@@ -467,9 +460,8 @@ int main(int argc, char** argv) {
         prev_committed = committed_total;
         prev_aborted = aborted_total;
         // Wall-clock run: the certification watermark lives in the
-        // certifier's own epoch, not this window index — leave the
-        // sentinel so the stall detector stays inert (clock domains
-        // must match before lag means anything; DESIGN.md).
+        // certifier's own epoch, not this window index, so the window
+        // keeps the "not certified" sentinel.
         w.nodes.resize(headroom.num_nodes());
         for (esr::GroupId g = 0; g < headroom.num_nodes(); ++g) {
           const esr::NodeHeadroomTracker::NodeSample s =
@@ -481,18 +473,7 @@ int main(int argc, char** argv) {
         }
         headroom.StartWindow();
         if (monitor != nullptr) {
-          esr::HealthInput input;
-          if (sharded != nullptr) {
-            prev_shard_ops.resize(sharded->num_shards(), 0);
-            input.shard_ops.resize(sharded->num_shards(), 0);
-            for (size_t s = 0; s < sharded->num_shards(); ++s) {
-              const int64_t ops = static_cast<int64_t>(
-                  sharded->SnapshotShardStats(s).ops);
-              input.shard_ops[s] = ops - prev_shard_ops[s];
-              prev_shard_ops[s] = ops;
-            }
-          }
-          monitor->OnWindow(w, input);
+          monitor->OnWindow(w);
           monitor->ExportGauges(&server.metrics());
         }
         headroom_series.windows.push_back(std::move(w));
@@ -656,7 +637,6 @@ int main(int argc, char** argv) {
     // journal is written instead of dropped — a mid-run SIGTERM still
     // leaves a parseable journal on disk (pinned by ctest).
     if (health != nullptr && (level == last_level || Interrupted())) {
-      health->Finish();
       const esr::HealthReport report = health->Report();
       const esr::Status s =
           esr::WriteHealthJsonToFile(report, health_path);

@@ -41,10 +41,9 @@ struct BoundViolation {
 /// node whose replayed accumulation exceeds the limit the event itself
 /// declared.
 ///
-/// This is the single recertification core shared by the offline auditor
-/// (AuditTrace) and the streaming certifier (StreamCertifier): both feed
-/// their event streams through OnEvent, so their verdicts are identical by
-/// construction. Accumulators are keyed per (transaction, direction), so
+/// The streaming certifier (StreamCertifier) wraps it for live runs and,
+/// fed a loaded capture, for the offline auditor (AuditTrace); the
+/// perfbench and sharded-engine audits call it directly. Accumulators are keyed per (transaction, direction), so
 /// the violation set is invariant under any reordering that preserves each
 /// transaction's own event order — the property the schedule-perturbation
 /// hunter relies on.

@@ -1,9 +1,7 @@
 #include "obs/health.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <sstream>
 
@@ -30,435 +28,30 @@ std::string FormatCount(int64_t v) {
 
 double WindowEnd(const SeriesWindow& w) { return w.start_s + w.duration_s; }
 
-// -- AbortLivelockDetector --------------------------------------------------
+// abort_livelock: consecutive starved windows before the alert opens; a
+// window is starved when it commits at most kLivelockMaxCommitted while
+// aborting (or restarting) at least kLivelockMinAborted — which tells
+// livelock (work churning, nothing finishing) from idleness.
+constexpr size_t kLivelockMinWindows = 5;
+constexpr int64_t kLivelockMaxCommitted = 0;
+constexpr int64_t kLivelockMinAborted = 1;
 
-class AbortLivelockDetector : public HealthDetector {
- public:
-  explicit AbortLivelockDetector(const AbortLivelockOptions& options)
-      : options_(options) {}
+// thrashing_bistability: the test runs over the trailing
+// kBistabilityLookback windows and applies once their mean active MPL
+// reaches kBistabilityMinMpl (the phenomenon is documented at MPL >= 8;
+// stable MPL 3/6 rows must never trip it). It fires when the
+// coefficient of variation reaches kBistabilityMinCv, the two
+// throughput clusters (split at the lookback mean) lie at least
+// kBistabilitySeparation of the mean apart, and each cluster holds at
+// least kBistabilityMinClusterFrac of the windows (rejects one-off dips).
+constexpr size_t kBistabilityLookback = 20;
+constexpr double kBistabilityMinMpl = 7.0;
+constexpr double kBistabilityMinCv = 0.4;
+constexpr double kBistabilitySeparation = 0.8;
+constexpr double kBistabilityMinClusterFrac = 0.25;
 
-  const char* name() const override { return "abort_livelock"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    const bool starved = w.committed <= options_.max_committed;
-    const bool churning = w.aborted >= options_.min_aborted ||
-                          w.restarts >= options_.min_aborted;
-    if (starved && churning) {
-      if (streak_ == 0) {
-        streak_start_ = index;
-        streak_start_s_ = w.start_s;
-        streak_aborted_ = 0;
-        streak_committed_ = 0;
-      }
-      ++streak_;
-      streak_aborted_ += w.aborted;
-      streak_committed_ += w.committed;
-      if (streak_ == options_.min_windows) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kError;
-        alert.first_window = streak_start_;
-        alert.last_window = index;
-        alert.start_s = streak_start_s_;
-        alert.end_s = WindowEnd(w);
-        alert.message = "sustained abort livelock: >= " +
-                        FormatCount(static_cast<int64_t>(options_.min_windows)) +
-                        " consecutive windows with <= " +
-                        FormatCount(options_.max_committed) +
-                        " commits while aborting";
-        alert.evidence.emplace_back("windows", static_cast<double>(streak_));
-        alert.evidence.emplace_back("aborted",
-                                    static_cast<double>(streak_aborted_));
-        alert.evidence.emplace_back("committed",
-                                    static_cast<double>(streak_committed_));
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else if (open_) {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else {
-      if (open_) {
-        sink->CloseAlert(handle_);
-        open_ = false;
-      }
-      streak_ = 0;
-    }
-  }
-
- private:
-  AbortLivelockOptions options_;
-  size_t streak_ = 0;
-  size_t streak_start_ = 0;
-  double streak_start_s_ = 0.0;
-  int64_t streak_aborted_ = 0;
-  int64_t streak_committed_ = 0;
-  size_t handle_ = 0;
-  bool open_ = false;
-};
-
-// -- ThrashingBistabilityDetector -------------------------------------------
-
-class ThrashingBistabilityDetector : public HealthDetector {
- public:
-  explicit ThrashingBistabilityDetector(
-      const ThrashingBistabilityOptions& options)
-      : options_(options) {}
-
-  const char* name() const override { return "thrashing_bistability"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    committed_.push_back(static_cast<double>(w.committed));
-    mpl_.push_back(w.active_mpl);
-    if (committed_.size() > options_.lookback) {
-      committed_.pop_front();
-      mpl_.pop_front();
-    }
-    if (committed_.size() < options_.lookback || options_.lookback < 4) {
-      return;
-    }
-
-    const size_t n = committed_.size();
-    double mean = 0.0;
-    double mean_mpl = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      mean += committed_[i];
-      mean_mpl += mpl_[i];
-    }
-    mean /= static_cast<double>(n);
-    mean_mpl /= static_cast<double>(n);
-
-    bool bimodal = false;
-    double cv = 0.0;
-    double mean_low = 0.0;
-    double mean_high = 0.0;
-    if (mean_mpl >= options_.min_mpl && mean > 0.0) {
-      double var = 0.0;
-      size_t low_n = 0;
-      size_t high_n = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const double d = committed_[i] - mean;
-        var += d * d;
-        if (committed_[i] < mean) {
-          mean_low += committed_[i];
-          ++low_n;
-        } else {
-          mean_high += committed_[i];
-          ++high_n;
-        }
-      }
-      var /= static_cast<double>(n);
-      cv = std::sqrt(var) / mean;
-      const size_t min_cluster = static_cast<size_t>(
-          options_.min_cluster_frac * static_cast<double>(n));
-      if (low_n >= min_cluster && high_n >= min_cluster && low_n > 0 &&
-          high_n > 0) {
-        mean_low /= static_cast<double>(low_n);
-        mean_high /= static_cast<double>(high_n);
-        bimodal = cv >= options_.min_cv &&
-                  (mean_high - mean_low) >= options_.min_separation_frac * mean;
-      }
-    }
-
-    if (bimodal) {
-      if (!open_) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kWarn;
-        alert.first_window = index + 1 - n;
-        alert.last_window = index;
-        alert.start_s = w.start_s - w.duration_s * static_cast<double>(n - 1);
-        alert.end_s = WindowEnd(w);
-        alert.message =
-            "bistable throughput at high MPL: committed/window splits into ~" +
-            FormatNum(mean_high) + " and ~" + FormatNum(mean_low) +
-            " regimes (cv " + FormatNum(cv) + ", mean MPL " +
-            FormatNum(mean_mpl) + ")";
-        alert.evidence.emplace_back("cv", cv);
-        alert.evidence.emplace_back("mean_high", mean_high);
-        alert.evidence.emplace_back("mean_low", mean_low);
-        alert.evidence.emplace_back("mean_mpl", mean_mpl);
-        alert.evidence.emplace_back("lookback", static_cast<double>(n));
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else if (open_) {
-      sink->CloseAlert(handle_);
-      open_ = false;
-    }
-  }
-
- private:
-  ThrashingBistabilityOptions options_;
-  std::deque<double> committed_;
-  std::deque<double> mpl_;
-  size_t handle_ = 0;
-  bool open_ = false;
-};
-
-// -- HeadroomExhaustionDetector ---------------------------------------------
-
-class HeadroomExhaustionDetector : public HealthDetector {
- public:
-  HeadroomExhaustionDetector(const HeadroomExhaustionOptions& options,
-                             std::vector<std::string> node_names)
-      : options_(options), node_names_(std::move(node_names)) {}
-
-  const char* name() const override { return "headroom_exhaustion"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    if (states_.size() < w.nodes.size()) states_.resize(w.nodes.size());
-    for (size_t i = 0; i < w.nodes.size(); ++i) {
-      const SeriesNodeWindow& node = w.nodes[i];
-      NodeState& st = states_[i];
-      if (node.charges <= 0) continue;
-      st.samples.push_back(Sample{static_cast<double>(index),
-                                  node.min_headroom_frac,
-                                  static_cast<double>(w.committed)});
-      if (st.samples.size() > options_.lookback) st.samples.pop_front();
-
-      const double latest = node.min_headroom_frac;
-      bool firing = false;
-      double slope = 0.0;
-      double windows_to_zero = -1.0;
-      const bool exhausted = latest < options_.exhausted_frac;
-      if (!exhausted && st.samples.size() >= options_.lookback &&
-          options_.lookback >= 3 && latest <= options_.max_start_frac) {
-        bool monotone = true;
-        for (size_t s = 1; s < st.samples.size(); ++s) {
-          if (st.samples[s].frac >
-              st.samples[s - 1].frac + options_.monotone_eps) {
-            monotone = false;
-            break;
-          }
-        }
-        // The drain must be ongoing, not historical: a load ramp that
-        // settled into a plateau declines over the full lookback but
-        // not over its trailing half.
-        const size_t mid = st.samples.size() / 2;
-        const double recent_decline =
-            st.samples[mid].frac - st.samples.back().frac;
-        // Headroom falling while throughput is still ramping up is the
-        // expected response to the ramp, not a drain.
-        double lead_committed = 0.0;
-        double trail_committed = 0.0;
-        for (size_t s = 0; s < st.samples.size(); ++s) {
-          (s < mid ? lead_committed : trail_committed) +=
-              st.samples[s].committed;
-        }
-        lead_committed /= static_cast<double>(mid);
-        trail_committed /= static_cast<double>(st.samples.size() - mid);
-        const bool load_ramping =
-            lead_committed > 0.0 &&
-            trail_committed > options_.max_load_ramp * lead_committed;
-        if (monotone && !load_ramping &&
-            recent_decline >= options_.min_decline) {
-          slope = FitSlope(st.samples);
-          if (slope < 0.0) {
-            windows_to_zero = latest / -slope;
-            firing = windows_to_zero <= options_.horizon_windows;
-          }
-        }
-      }
-      firing = firing || exhausted;
-
-      if (firing) {
-        if (!st.open) {
-          Alert alert;
-          alert.detector = name();
-          alert.severity =
-              latest < 0.0 ? AlertSeverity::kError : AlertSeverity::kWarn;
-          alert.first_window = index;
-          alert.last_window = index;
-          alert.start_s = w.start_s;
-          alert.end_s = WindowEnd(w);
-          alert.node = i < node_names_.size() ? node_names_[i] : FormatCount(i);
-          if (exhausted) {
-            alert.message = "epsilon headroom exhausted at node '" +
-                            alert.node + "': min headroom fraction " +
-                            FormatNum(latest) + " < " +
-                            FormatNum(options_.exhausted_frac);
-          } else {
-            alert.message = "epsilon headroom at node '" + alert.node +
-                            "' trending to zero: fraction " +
-                            FormatNum(latest) + ", ~" +
-                            FormatNum(windows_to_zero) + " windows to empty";
-          }
-          alert.evidence.emplace_back("headroom_frac", latest);
-          alert.evidence.emplace_back("slope_per_window", slope);
-          alert.evidence.emplace_back("windows_to_zero", windows_to_zero);
-          st.handle = sink->OpenAlert(std::move(alert));
-          st.open = true;
-        } else {
-          sink->ExtendAlert(st.handle, index, WindowEnd(w));
-        }
-      } else if (st.open) {
-        sink->CloseAlert(st.handle);
-        st.open = false;
-      }
-    }
-  }
-
- private:
-  struct Sample {
-    double window = 0.0;
-    double frac = 0.0;
-    double committed = 0.0;
-  };
-
-  struct NodeState {
-    std::deque<Sample> samples;
-    size_t handle = 0;
-    bool open = false;
-  };
-
-  static double FitSlope(const std::deque<Sample>& pts) {
-    const double n = static_cast<double>(pts.size());
-    double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-    for (const Sample& p : pts) {
-      sx += p.window;
-      sy += p.frac;
-      sxx += p.window * p.window;
-      sxy += p.window * p.frac;
-    }
-    const double denom = n * sxx - sx * sx;
-    if (denom <= 0.0) return 0.0;
-    return (n * sxy - sx * sy) / denom;
-  }
-
-  HeadroomExhaustionOptions options_;
-  std::vector<std::string> node_names_;
-  std::vector<NodeState> states_;
-};
-
-// -- CertificationStallDetector ---------------------------------------------
-
-class CertificationStallDetector : public HealthDetector {
- public:
-  explicit CertificationStallDetector(const CertificationStallOptions& options)
-      : options_(options) {}
-
-  const char* name() const override { return "certification_stall"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput&,
-                AlertSink* sink) override {
-    if (w.certified_through_s < 0.0 || w.duration_s <= 0.0) return;
-    const double lag_windows =
-        (WindowEnd(w) - w.certified_through_s) / w.duration_s;
-    if (lag_windows >= options_.max_lag_windows) {
-      if (!open_) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kError;
-        alert.first_window = index;
-        alert.last_window = index;
-        alert.start_s = w.start_s;
-        alert.end_s = WindowEnd(w);
-        alert.message = "certification watermark stalled: certified through " +
-                        FormatNum(w.certified_through_s) + " s, " +
-                        FormatNum(lag_windows) +
-                        " windows behind the window boundary";
-        alert.evidence.emplace_back("lag_windows", lag_windows);
-        alert.evidence.emplace_back("certified_through_s",
-                                    w.certified_through_s);
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else if (open_) {
-      sink->CloseAlert(handle_);
-      open_ = false;
-    }
-  }
-
- private:
-  CertificationStallOptions options_;
-  size_t handle_ = 0;
-  bool open_ = false;
-};
-
-// -- ShardImbalanceDetector -------------------------------------------------
-
-class ShardImbalanceDetector : public HealthDetector {
- public:
-  explicit ShardImbalanceDetector(const ShardImbalanceOptions& options)
-      : options_(options) {}
-
-  const char* name() const override { return "shard_imbalance"; }
-
-  void OnWindow(size_t index, const SeriesWindow& w, const HealthInput& input,
-                AlertSink* sink) override {
-    bool qualifies = false;
-    double ratio = 0.0;
-    double mean = 0.0;
-    int64_t max_ops = 0;
-    int hot_shard = -1;
-    if (input.shard_ops.size() >= 2) {
-      int64_t total = 0;
-      for (size_t i = 0; i < input.shard_ops.size(); ++i) {
-        total += input.shard_ops[i];
-        if (input.shard_ops[i] > max_ops) {
-          max_ops = input.shard_ops[i];
-          hot_shard = static_cast<int>(i);
-        }
-      }
-      if (total >= options_.min_total_ops && total > 0) {
-        mean = static_cast<double>(total) /
-               static_cast<double>(input.shard_ops.size());
-        ratio = static_cast<double>(max_ops) / mean;
-        qualifies = ratio >= options_.max_ratio;
-      }
-    }
-
-    if (qualifies) {
-      if (streak_ == 0) {
-        streak_start_ = index;
-        streak_start_s_ = w.start_s;
-      }
-      ++streak_;
-      if (streak_ == options_.min_windows) {
-        Alert alert;
-        alert.detector = name();
-        alert.severity = AlertSeverity::kWarn;
-        alert.first_window = streak_start_;
-        alert.last_window = index;
-        alert.start_s = streak_start_s_;
-        alert.end_s = WindowEnd(w);
-        alert.shard = hot_shard;
-        alert.message = "shard imbalance: shard " + FormatCount(hot_shard) +
-                        " carries " + FormatNum(ratio) +
-                        "x the mean per-shard op rate";
-        alert.evidence.emplace_back("max_over_mean", ratio);
-        alert.evidence.emplace_back("hot_shard_ops",
-                                    static_cast<double>(max_ops));
-        alert.evidence.emplace_back("mean_shard_ops", mean);
-        handle_ = sink->OpenAlert(std::move(alert));
-        open_ = true;
-      } else if (open_) {
-        sink->ExtendAlert(handle_, index, WindowEnd(w));
-      }
-    } else {
-      if (open_) {
-        sink->CloseAlert(handle_);
-        open_ = false;
-      }
-      streak_ = 0;
-    }
-  }
-
- private:
-  ShardImbalanceOptions options_;
-  size_t streak_ = 0;
-  size_t streak_start_ = 0;
-  double streak_start_s_ = 0.0;
-  size_t handle_ = 0;
-  bool open_ = false;
-};
+constexpr const char* kDetectorNames[] = {"abort_livelock",
+                                          "thrashing_bistability"};
 
 }  // namespace
 
@@ -475,71 +68,140 @@ const char* AlertSeverityName(AlertSeverity severity) {
 }
 
 HealthMonitor::HealthMonitor(HealthOptions options)
-    : options_(std::move(options)) {
-  if (options_.livelock.enabled) {
-    detectors_.push_back(
-        std::make_unique<AbortLivelockDetector>(options_.livelock));
-  }
-  if (options_.bistability.enabled) {
-    detectors_.push_back(
-        std::make_unique<ThrashingBistabilityDetector>(options_.bistability));
-  }
-  if (options_.headroom.enabled) {
-    detectors_.push_back(std::make_unique<HeadroomExhaustionDetector>(
-        options_.headroom, options_.node_names));
-  }
-  if (options_.certification.enabled) {
-    detectors_.push_back(
-        std::make_unique<CertificationStallDetector>(options_.certification));
-  }
-  if (options_.shard_imbalance.enabled) {
-    detectors_.push_back(
-        std::make_unique<ShardImbalanceDetector>(options_.shard_imbalance));
-  }
-}
+    : options_(std::move(options)) {}
 
-HealthMonitor::~HealthMonitor() = default;
-
-void HealthMonitor::AddDetector(std::unique_ptr<HealthDetector> detector) {
-  detectors_.push_back(std::move(detector));
-}
-
-void HealthMonitor::OnWindow(const SeriesWindow& window,
-                             const HealthInput& input) {
+void HealthMonitor::OnWindow(const SeriesWindow& window) {
   const size_t index = windows_++;
-  for (auto& detector : detectors_) {
-    detector->OnWindow(index, window, input, this);
-  }
+  ObserveLivelock(index, window);
+  ObserveBistability(index, window);
 }
 
-void HealthMonitor::Finish() {
-  if (finished_) return;
-  finished_ = true;
-  for (auto& detector : detectors_) {
-    detector->Finish(this);
+void HealthMonitor::ObserveLivelock(size_t index, const SeriesWindow& w) {
+  const bool starved = w.committed <= kLivelockMaxCommitted;
+  const bool churning =
+      w.aborted >= kLivelockMinAborted || w.restarts >= kLivelockMinAborted;
+  if (!(starved && churning)) {
+    Continue(&livelock_alert_, false, index, w);
+    streak_ = 0;
+    return;
   }
+  if (streak_ == 0) {
+    streak_start_ = index;
+    streak_start_s_ = w.start_s;
+    streak_aborted_ = 0;
+    streak_committed_ = 0;
+  }
+  ++streak_;
+  streak_aborted_ += w.aborted;
+  streak_committed_ += w.committed;
+  if (streak_ != kLivelockMinWindows) {
+    Continue(&livelock_alert_, true, index, w);
+    return;
+  }
+  Alert alert;
+  alert.detector = kDetectorNames[0];
+  alert.severity = AlertSeverity::kError;
+  alert.first_window = streak_start_;
+  alert.last_window = index;
+  alert.start_s = streak_start_s_;
+  alert.end_s = WindowEnd(w);
+  alert.message =
+      "sustained abort livelock: >= " +
+      FormatCount(static_cast<int64_t>(kLivelockMinWindows)) +
+      " consecutive windows with <= " + FormatCount(kLivelockMaxCommitted) +
+      " commits while aborting";
+  alert.evidence.emplace_back("windows", static_cast<double>(streak_));
+  alert.evidence.emplace_back("aborted", static_cast<double>(streak_aborted_));
+  alert.evidence.emplace_back("committed",
+                              static_cast<double>(streak_committed_));
+  livelock_alert_ = OpenAlert(std::move(alert));
 }
 
-size_t HealthMonitor::active_alerts() const {
-  size_t active = 0;
-  for (const Alert& a : alerts_) {
-    if (a.open) ++active;
+void HealthMonitor::ObserveBistability(size_t index, const SeriesWindow& w) {
+  committed_.push_back(static_cast<double>(w.committed));
+  mpl_.push_back(w.active_mpl);
+  if (committed_.size() > kBistabilityLookback) {
+    committed_.pop_front();
+    mpl_.pop_front();
   }
-  return active;
+  if (committed_.size() < kBistabilityLookback) return;
+
+  const size_t n = committed_.size();
+  double mean = 0.0;
+  double mean_mpl = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    mean += committed_[i];
+    mean_mpl += mpl_[i];
+  }
+  mean /= static_cast<double>(n);
+  mean_mpl /= static_cast<double>(n);
+
+  bool bimodal = false;
+  double cv = 0.0;
+  double mean_low = 0.0;
+  double mean_high = 0.0;
+  if (mean_mpl >= kBistabilityMinMpl && mean > 0.0) {
+    double var = 0.0;
+    size_t low_n = 0;
+    size_t high_n = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double d = committed_[i] - mean;
+      var += d * d;
+      if (committed_[i] < mean) {
+        mean_low += committed_[i];
+        ++low_n;
+      } else {
+        mean_high += committed_[i];
+        ++high_n;
+      }
+    }
+    var /= static_cast<double>(n);
+    cv = std::sqrt(var) / mean;
+    const size_t min_cluster = static_cast<size_t>(
+        kBistabilityMinClusterFrac * static_cast<double>(n));
+    if (low_n >= min_cluster && high_n >= min_cluster && low_n > 0 &&
+        high_n > 0) {
+      mean_low /= static_cast<double>(low_n);
+      mean_high /= static_cast<double>(high_n);
+      bimodal = cv >= kBistabilityMinCv &&
+                (mean_high - mean_low) >= kBistabilitySeparation * mean;
+    }
+  }
+
+  if (!bimodal || bistability_alert_ != kNoAlert) {
+    Continue(&bistability_alert_, bimodal, index, w);
+    return;
+  }
+  Alert alert;
+  alert.detector = kDetectorNames[1];
+  alert.severity = AlertSeverity::kWarn;
+  alert.first_window = index + 1 - n;
+  alert.last_window = index;
+  alert.start_s = w.start_s - w.duration_s * static_cast<double>(n - 1);
+  alert.end_s = WindowEnd(w);
+  alert.message =
+      "bistable throughput at high MPL: committed/window splits into ~" +
+      FormatNum(mean_high) + " and ~" + FormatNum(mean_low) + " regimes (cv " +
+      FormatNum(cv) + ", mean MPL " + FormatNum(mean_mpl) + ")";
+  alert.evidence.emplace_back("cv", cv);
+  alert.evidence.emplace_back("mean_high", mean_high);
+  alert.evidence.emplace_back("mean_low", mean_low);
+  alert.evidence.emplace_back("mean_mpl", mean_mpl);
+  alert.evidence.emplace_back("lookback", static_cast<double>(n));
+  bistability_alert_ = OpenAlert(std::move(alert));
 }
 
-bool HealthMonitor::detector_active(const std::string& name) const {
-  for (const Alert& a : alerts_) {
-    if (a.open && a.detector == name) return true;
+void HealthMonitor::Continue(size_t* alert, bool holds, size_t index,
+                             const SeriesWindow& w) {
+  if (*alert == kNoAlert) return;
+  Alert& a = alerts_[*alert];
+  if (holds) {
+    a.last_window = index;
+    a.end_s = WindowEnd(w);
+  } else {
+    a.open = false;
+    *alert = kNoAlert;
   }
-  return false;
-}
-
-std::vector<std::string> HealthMonitor::detector_names() const {
-  std::vector<std::string> names;
-  names.reserve(detectors_.size());
-  for (const auto& d : detectors_) names.emplace_back(d->name());
-  return names;
 }
 
 HealthReport HealthMonitor::Report() const {
@@ -554,9 +216,10 @@ HealthReport HealthMonitor::Report() const {
 void HealthMonitor::ExportGauges(MetricRegistry* metrics) const {
   if (metrics == nullptr) return;
   metrics->gauge("alert.count").Set(static_cast<double>(alerts_.size()));
-  for (const auto& d : detectors_) {
-    metrics->gauge(std::string("alert.active.") + d->name())
-        .Set(detector_active(d->name()) ? 1.0 : 0.0);
+  const size_t open[] = {livelock_alert_, bistability_alert_};
+  for (size_t d = 0; d < 2; ++d) {
+    metrics->gauge(std::string("alert.active.") + kDetectorNames[d])
+        .Set(open[d] != kNoAlert ? 1.0 : 0.0);
   }
 }
 
@@ -577,68 +240,56 @@ size_t HealthMonitor::OpenAlert(Alert alert) {
   return alerts_.size() - 1;
 }
 
-void HealthMonitor::ExtendAlert(size_t handle, size_t window, double end_s) {
-  if (handle >= alerts_.size()) return;
-  Alert& a = alerts_[handle];
-  a.last_window = window;
-  a.end_s = end_s;
-}
-
-void HealthMonitor::CloseAlert(size_t handle) {
-  if (handle >= alerts_.size()) return;
-  alerts_[handle].open = false;
-}
-
 // -- Offline analysis -------------------------------------------------------
 
 HealthReport AnalyzeSeries(const RunSeries& series, HealthOptions options) {
   if (options.source.empty()) options.source = series.source;
   options.window_s = series.window_s;
-  if (options.node_names.empty()) options.node_names = series.node_names;
   HealthMonitor monitor(std::move(options));
   for (const SeriesWindow& w : series.windows) {
     monitor.OnWindow(w);
   }
-  monitor.Finish();
   return monitor.Report();
 }
 
 // -- Journal ----------------------------------------------------------------
 
+void WriteHealthObject(const HealthReport& report, JsonWriter* w) {
+  w->BeginObject();
+  w->KV("source", report.source);
+  w->KV("window_s", report.window_s);
+  w->KV("windows", static_cast<int64_t>(report.windows));
+  w->KV("healthy", report.healthy());
+  w->KV("alert_count", static_cast<int64_t>(report.alerts.size()));
+  w->Key("alerts");
+  w->BeginArray();
+  for (const Alert& a : report.alerts) {
+    w->BeginObject();
+    w->KV("detector", a.detector);
+    w->KV("severity", AlertSeverityName(a.severity));
+    w->KV("first_window", static_cast<int64_t>(a.first_window));
+    w->KV("last_window", static_cast<int64_t>(a.last_window));
+    w->KV("start_s", a.start_s);
+    w->KV("end_s", a.end_s);
+    w->KV("open", a.open);
+    w->KV("message", a.message);
+    w->Key("evidence");
+    w->BeginObject();
+    for (const auto& kv : a.evidence) {
+      w->KV(kv.first, kv.second);
+    }
+    w->EndObject();
+    w->EndObject();
+  }
+  w->EndArray();
+  w->EndObject();
+}
+
 void WriteHealthJson(const HealthReport& report, std::ostream& out) {
   JsonWriter w(out);
   w.BeginObject();
   w.Key("health");
-  w.BeginObject();
-  w.KV("source", report.source);
-  w.KV("window_s", report.window_s);
-  w.KV("windows", static_cast<int64_t>(report.windows));
-  w.KV("healthy", report.healthy());
-  w.KV("alert_count", static_cast<int64_t>(report.alerts.size()));
-  w.Key("alerts");
-  w.BeginArray();
-  for (const Alert& a : report.alerts) {
-    w.BeginObject();
-    w.KV("detector", a.detector);
-    w.KV("severity", AlertSeverityName(a.severity));
-    w.KV("first_window", static_cast<int64_t>(a.first_window));
-    w.KV("last_window", static_cast<int64_t>(a.last_window));
-    w.KV("start_s", a.start_s);
-    w.KV("end_s", a.end_s);
-    w.KV("node", a.node);
-    w.KV("shard", static_cast<int64_t>(a.shard));
-    w.KV("open", a.open);
-    w.KV("message", a.message);
-    w.Key("evidence");
-    w.BeginObject();
-    for (const auto& kv : a.evidence) {
-      w.KV(kv.first, kv.second);
-    }
-    w.EndObject();
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
+  WriteHealthObject(report, &w);
   w.EndObject();
   out << "\n";
 }
@@ -692,8 +343,6 @@ Result<HealthReport> ReadHealthJson(std::istream& in) {
     a.last_window = static_cast<size_t>(entry.NumberOr("last_window", 0.0));
     a.start_s = entry.NumberOr("start_s", 0.0);
     a.end_s = entry.NumberOr("end_s", 0.0);
-    if (const JsonValue* v = entry.Find("node")) a.node = v->string;
-    a.shard = static_cast<int>(entry.NumberOr("shard", -1.0));
     if (const JsonValue* v = entry.Find("open")) a.open = v->bool_value;
     if (const JsonValue* v = entry.Find("message")) a.message = v->string;
     if (const JsonValue* ev = entry.Find("evidence")) {
@@ -729,8 +378,6 @@ void WriteHealthText(const HealthReport& report, std::ostream& out) {
     out << "  [" << AlertSeverityName(a.severity) << "] " << a.detector
         << ": windows " << a.first_window << ".." << a.last_window << " ("
         << FormatNum(a.start_s) << " s.." << FormatNum(a.end_s) << " s)";
-    if (!a.node.empty()) out << " node=" << a.node;
-    if (a.shard >= 0) out << " shard=" << a.shard;
     if (a.open) out << " [still open at run end]";
     out << "\n      " << a.message << "\n";
     for (const auto& kv : a.evidence) {

@@ -353,45 +353,49 @@ void WriteSeriesSummaryJson(const SeriesSummary& summary,
                             std::ostream& out) {
   JsonWriter w(out);
   w.BeginObject();
-  w.KV("total_windows", static_cast<int64_t>(summary.total_windows));
-  w.KV("steady_state_found", summary.steady_state_found);
-  w.KV("warmup_windows", static_cast<int64_t>(summary.warmup_windows));
-  w.KV("steady_throughput", summary.steady_throughput);
-  w.KV("steady_abort_rate", summary.steady_abort_rate);
-  w.KV("steady_mean_mpl", summary.steady_mean_mpl);
-  w.KV("steady_mean_op_latency_ms", summary.steady_mean_op_latency_ms);
-  w.KV("headroom_observed", summary.headroom_observed);
-  w.KV("negative_headroom", summary.negative_headroom);
-  w.KV("certification_observed", summary.certification_observed);
-  if (summary.certification_observed) {
-    w.KV("certified_through_s", summary.certified_through_s);
-    w.KV("certification_froze", summary.certification_froze);
-  }
-  if (summary.headroom_observed) {
-    w.Key("tightest");
-    w.BeginObject();
-    w.KV("node", summary.tightest_node);
-    w.KV("window", static_cast<int64_t>(summary.tightest_window));
-    w.KV("min_headroom_frac", summary.tightest_headroom_frac);
-    w.KV("limit", summary.tightest_limit);
-    w.EndObject();
-  }
-  w.Key("nodes");
-  w.BeginArray();
-  for (const SeriesNodeSummary& node : summary.nodes) {
-    w.BeginObject();
-    w.KV("name", node.name);
-    w.KV("charges", node.charges);
-    w.KV("peak_accumulated", node.peak_accumulated);
-    w.KV("min_headroom_frac", node.min_headroom_frac);
-    w.KV("min_window", static_cast<int64_t>(node.min_window));
-    w.KV("limit_at_min", node.limit_at_min);
-    w.KV("utilization", node.utilization);
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteSeriesSummaryMembers(summary, &w);
   w.EndObject();
   out << "\n";
+}
+
+void WriteSeriesSummaryMembers(const SeriesSummary& summary, JsonWriter* w) {
+  w->KV("total_windows", static_cast<int64_t>(summary.total_windows));
+  w->KV("steady_state_found", summary.steady_state_found);
+  w->KV("warmup_windows", static_cast<int64_t>(summary.warmup_windows));
+  w->KV("steady_throughput", summary.steady_throughput);
+  w->KV("steady_abort_rate", summary.steady_abort_rate);
+  w->KV("steady_mean_mpl", summary.steady_mean_mpl);
+  w->KV("steady_mean_op_latency_ms", summary.steady_mean_op_latency_ms);
+  w->KV("headroom_observed", summary.headroom_observed);
+  w->KV("negative_headroom", summary.negative_headroom);
+  w->KV("certification_observed", summary.certification_observed);
+  if (summary.certification_observed) {
+    w->KV("certified_through_s", summary.certified_through_s);
+    w->KV("certification_froze", summary.certification_froze);
+  }
+  if (summary.headroom_observed) {
+    w->Key("tightest");
+    w->BeginObject();
+    w->KV("node", summary.tightest_node);
+    w->KV("window", static_cast<int64_t>(summary.tightest_window));
+    w->KV("min_headroom_frac", summary.tightest_headroom_frac);
+    w->KV("limit", summary.tightest_limit);
+    w->EndObject();
+  }
+  w->Key("nodes");
+  w->BeginArray();
+  for (const SeriesNodeSummary& node : summary.nodes) {
+    w->BeginObject();
+    w->KV("name", node.name);
+    w->KV("charges", node.charges);
+    w->KV("peak_accumulated", node.peak_accumulated);
+    w->KV("min_headroom_frac", node.min_headroom_frac);
+    w->KV("min_window", static_cast<int64_t>(node.min_window));
+    w->KV("limit_at_min", node.limit_at_min);
+    w->KV("utilization", node.utilization);
+    w->EndObject();
+  }
+  w->EndArray();
 }
 
 void ExportHeadroomGauges(const RunSeries& series, MetricRegistry* metrics) {

@@ -12,6 +12,8 @@
 
 namespace esr {
 
+class JsonWriter;
+
 /// Per-window reading of one hierarchy node's inconsistency telemetry
 /// (see NodeHeadroomTracker): extrema over the window, not averages —
 /// a bound violation hides in the worst moment, not the mean.
@@ -157,8 +159,11 @@ struct SeriesSummary {
 
 SeriesSummary SummarizeSeries(const RunSeries& series);
 
-/// Writes `summary` as JSON (the esr_series --json output).
+/// Writes `summary` as one JSON object.
 void WriteSeriesSummaryJson(const SeriesSummary& summary, std::ostream& out);
+/// Writes `summary`'s members into the object `w` has open, so a caller
+/// can add members of its own (esr_series --json adds the health journal).
+void WriteSeriesSummaryMembers(const SeriesSummary& summary, JsonWriter* w);
 
 // -- Gauges -----------------------------------------------------------------
 

@@ -44,8 +44,7 @@ void StreamCertifier::Observe(const TraceEvent& event) {
   }
   if (event.type == TraceEventType::kCommit ||
       event.type == TraceEventType::kAbort) {
-    // Resolve the violation interval's end for this transaction, exactly
-    // as the offline auditor does from its transaction table.
+    // Resolve the violation interval's end for this transaction.
     for (BoundViolation& v : *replayer_.mutable_violations()) {
       if (v.txn == event.txn) v.ts_end = event.ts_micros;
     }
@@ -178,8 +177,7 @@ StreamCertification StreamCertifier::Snapshot() const {
 
   snap.violations = replayer_.violations();
   for (BoundViolation& v : snap.violations) {
-    // Transaction end not captured: close the interval at the last event,
-    // mirroring AuditTrace.
+    // Transaction end not captured: close the interval at the last event.
     if (v.ts_end == 0) v.ts_end = last_event_ts_;
   }
   snap.blamed_writers = blamed_writers_;

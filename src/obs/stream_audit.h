@@ -45,9 +45,8 @@ struct NodeCertification {
   double certified_through_s = 0.0;
 };
 
-/// Snapshot of a certification session — the streaming counterpart of
-/// AuditReport's bound-recertification section, sharing BoundViolation so
-/// the two can be diffed field by field.
+/// Snapshot of a certification session (live, or over a loaded capture:
+/// AuditReport::certification).
 struct StreamCertification {
   /// False when certification never ran (flag off, or tracing compiled
   /// out so there was no event stream to observe).
@@ -116,8 +115,7 @@ class StreamCertifier {
   bool certified() const;
 
   /// Full snapshot; violations without a captured transaction end get
-  /// ts_end = last observed event timestamp, mirroring the offline
-  /// auditor.
+  /// ts_end = last observed event timestamp.
   StreamCertification Snapshot() const;
 
  private:

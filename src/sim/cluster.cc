@@ -45,8 +45,6 @@ Cluster::SiteEvents::Site Cluster::SiteEvents::lane(size_t site) const {
 Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   ESR_CHECK(options_.mpl >= 1);
   ESR_CHECK(options_.lanes == 1) << "a cluster runs on one event queue";
-  // Health detection replays the window stream, so it needs the sampler.
-  if (options_.health) options_.collect_series = true;
   // The store must be populated consistently with the workload's universe.
   ServerOptions server_options = options_.server;
   server_options.store.num_objects = options_.workload.num_objects;
@@ -198,7 +196,6 @@ SimResult Cluster::Run() {
     if (sampler_ != nullptr) sampler_->set_certifier(nullptr);
   }
   if (enabled_trace_for_certify) GlobalTrace().set_enabled(false);
-  if (options_.health) result.health = AnalyzeSeries(result.series);
   return result;
 }
 

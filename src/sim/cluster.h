@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "obs/health.h"
 #include "obs/series.h"
 #include "obs/stream_audit.h"
 #include "sim/client.h"
@@ -60,13 +59,6 @@ struct ClusterOptions {
   /// in; otherwise certification is skipped with a warning. Purely
   /// observational: workload results are identical either way.
   bool certify = false;
-  /// Windowed anomaly detection (obs/health.h): forces collect_series
-  /// and, after the run, replays the collected series through the
-  /// standard HealthMonitor detector set into SimResult::health. Purely
-  /// observational and a pure function of the series bytes, so health
-  /// output inherits the series' determinism contract (byte-identical
-  /// at any --jobs level).
-  bool health = false;
   /// Always 1: a run is one event queue on one thread. Kept only so
   /// callers that still set it compile; the Cluster checks the value.
   int lanes = 1;
@@ -98,9 +90,6 @@ struct SimResult {
   /// Streaming certification verdict (enabled == false unless
   /// ClusterOptions::certify ran).
   StreamCertification certification;
-  /// Windowed anomaly-detection verdict over `series` (empty unless
-  /// ClusterOptions::health was set).
-  HealthReport health;
 
   /// Committed transactions per virtual second.
   double throughput() const {

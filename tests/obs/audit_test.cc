@@ -65,8 +65,8 @@ TEST(AuditBoundsTest, CleanHistoryCertifies) {
   EXPECT_TRUE(report.certified());
   EXPECT_EQ(report.txns_seen, 1u);
   EXPECT_EQ(report.txns_committed, 1u);
-  EXPECT_EQ(report.walks_replayed, 2u);
-  EXPECT_EQ(report.charges_applied, 4u);
+  EXPECT_EQ(report.certification.walks_replayed, 2u);
+  EXPECT_EQ(report.certification.charges_applied, 4u);
 }
 
 TEST(AuditBoundsTest, AdmittedOverBoundChargeIsFlaggedWithInterval) {
@@ -80,8 +80,8 @@ TEST(AuditBoundsTest, AdmittedOverBoundChargeIsFlaggedWithInterval) {
 
   const AuditReport report = AuditTrace(h.events());
   EXPECT_FALSE(report.certified());
-  ASSERT_EQ(report.violations.size(), 1u);
-  const BoundViolation& v = report.violations[0];
+  ASSERT_EQ(report.certification.violations.size(), 1u);
+  const BoundViolation& v = report.certification.violations[0];
   EXPECT_EQ(v.txn, 7u);
   EXPECT_EQ(v.direction, ChargeDirection::kImport);
   EXPECT_EQ(v.group, 5u);
@@ -98,9 +98,9 @@ TEST(AuditBoundsTest, NodeStayingOverBoundYieldsOneViolationWithPeak) {
   ImportWalk(&h, 10, 3, 5, 60.0, 50.0, 1000.0, true);  // first crossing
   ImportWalk(&h, 20, 3, 5, 25.0, 50.0, 1000.0, true);  // still climbing
   const AuditReport report = AuditTrace(h.events());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_EQ(report.violations[0].ts_begin, 10);
-  EXPECT_DOUBLE_EQ(report.violations[0].accumulated, 85.0);
+  ASSERT_EQ(report.certification.violations.size(), 1u);
+  EXPECT_EQ(report.certification.violations[0].ts_begin, 10);
+  EXPECT_DOUBLE_EQ(report.certification.violations[0].accumulated, 85.0);
 }
 
 TEST(AuditBoundsTest, RejectedWalkChargesNothing) {
@@ -113,8 +113,9 @@ TEST(AuditBoundsTest, RejectedWalkChargesNothing) {
 
   const AuditReport report = AuditTrace(h.events());
   EXPECT_TRUE(report.certified());
-  EXPECT_EQ(report.walks_replayed, 2u);
-  EXPECT_EQ(report.charges_applied, 2u);  // only the admitted walk
+  EXPECT_EQ(report.certification.walks_replayed, 2u);
+  // Only the admitted walk charges.
+  EXPECT_EQ(report.certification.charges_applied, 2u);
 }
 
 TEST(AuditBoundsTest, UnboundedNodesNeverViolate) {
@@ -139,9 +140,37 @@ TEST(AuditBoundsTest, ImportAndExportAccumulatorsReplayIndependently) {
   h.ExportCheckAt(30, 4, 1, 5, 15.0, 45.0, true);
   h.ExportCheckAt(31, 4, 0, 0, 15.0, 100.0, true);
   const AuditReport report = AuditTrace(h.events());
-  ASSERT_EQ(report.violations.size(), 1u);
-  EXPECT_EQ(report.violations[0].direction, ChargeDirection::kExport);
-  EXPECT_DOUBLE_EQ(report.violations[0].accumulated, 50.0);
+  ASSERT_EQ(report.certification.violations.size(), 1u);
+  EXPECT_EQ(report.certification.violations[0].direction,
+            ChargeDirection::kExport);
+  EXPECT_DOUBLE_EQ(report.certification.violations[0].accumulated, 50.0);
+}
+
+TEST(AuditBoundsTest, LossyCaptureCertifiesFromFirstFullWindow) {
+  // A wrapped ring: 40 events were lost before the retained suffix, whose
+  // first event lands mid-window 1 (1.5 s). The certifier can vouch only
+  // from the next boundary (2 s) through the last closed window (4 s).
+  History h;
+  h.At(1'500'000, TraceEvent::BeginTxn(1, TxnType::kQuery, 1));
+  ImportWalk(&h, 2'100'000, 1, /*group=*/5, 30.0, 50.0, 100.0, true);
+  h.At(4'200'000, TraceEvent::CommitTxn(1, 1));
+  TraceMetadata metadata;
+  metadata.recorded = 45;
+  metadata.dropped = 40;
+
+  const AuditReport report = AuditTrace(h.events(), metadata);
+  EXPECT_TRUE(report.certified());
+  const StreamCertification& cert = report.certification;
+  EXPECT_EQ(cert.lost_prefix_events, metadata.dropped);
+  EXPECT_DOUBLE_EQ(cert.certified_from_s, 2.0);
+  EXPECT_DOUBLE_EQ(cert.certified_through_s, 4.0);
+  EXPECT_EQ(cert.events_observed, h.events().size());
+
+  std::ostringstream out;
+  PrintAuditReport(report, out);
+  EXPECT_NE(out.str().find("40 event(s) lost before the capture"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(AuditConflictTest, WaitEventsBuildEdgesAndRankBlockers) {
@@ -249,12 +278,15 @@ TEST(AuditRoundTripTest, ExportedTraceAuditsIdenticallyAfterReload) {
   EXPECT_EQ(metadata.dropped, 0u);
 
   const AuditReport replay = AuditTrace(reloaded, metadata);
-  ASSERT_EQ(replay.violations.size(), direct.violations.size());
-  ASSERT_EQ(replay.violations.size(), 1u);
-  EXPECT_EQ(replay.violations[0].group, direct.violations[0].group);
-  EXPECT_DOUBLE_EQ(replay.violations[0].accumulated,
-                   direct.violations[0].accumulated);
-  EXPECT_EQ(replay.violations[0].ts_begin, direct.violations[0].ts_begin);
+  const std::vector<BoundViolation>& replayed =
+      replay.certification.violations;
+  const std::vector<BoundViolation>& recorded =
+      direct.certification.violations;
+  ASSERT_EQ(replayed.size(), recorded.size());
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].group, recorded[0].group);
+  EXPECT_DOUBLE_EQ(replayed[0].accumulated, recorded[0].accumulated);
+  EXPECT_EQ(replayed[0].ts_begin, recorded[0].ts_begin);
   EXPECT_EQ(replay.conflicts.size(), 1u);
   EXPECT_EQ(replay.conflicts[0].writer, 3u);
 }

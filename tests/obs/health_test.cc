@@ -107,136 +107,6 @@ TEST(HealthDetectorTest, ShortStarvationDoesNotFire) {
       0u);
 }
 
-TEST(HealthDetectorTest, HeadroomMonotoneDrainFires) {
-  RunSeries series;
-  series.window_s = 1.0;
-  series.node_names = {"root"};
-  for (int i = 0; i < 30; ++i) {
-    SeriesWindow w;
-    w.start_s = i;
-    w.duration_s = 1.0;
-    w.committed = 50;
-    w.active_mpl = 4.0;
-    SeriesNodeWindow node;
-    // Steady monotone drain: 0.95 down toward zero, ~0.03 per window.
-    node.min_headroom_frac = 0.95 - 0.03 * i;
-    node.max_accumulated = 1.0 - node.min_headroom_frac;
-    node.limit_at_min = 1.0;
-    node.charges = 40;
-    w.nodes = {node};
-    series.windows.push_back(std::move(w));
-  }
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
-  const Alert* a = FindDetector(report, "headroom_exhaustion");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->node, "root");
-  EXPECT_EQ(a->severity, AlertSeverity::kWarn);
-  // Still draining at series end.
-  EXPECT_TRUE(a->open);
-}
-
-TEST(HealthDetectorTest, NoisyStationaryHeadroomDoesNotFire) {
-  // Per-window min headroom in a healthy ESR run is stationary noise
-  // that routinely brushes near zero; none of that is an anomaly.
-  RunSeries series;
-  series.window_s = 1.0;
-  series.node_names = {"root"};
-  const double noisy[] = {0.05, 0.4, 0.01, 0.3,  0.6, 0.02, 0.2,
-                          0.5,  0.1, 0.02, 0.45, 0.3, 0.08, 0.35};
-  for (int i = 0; i < 56; ++i) {
-    SeriesWindow w;
-    w.start_s = i;
-    w.duration_s = 1.0;
-    w.committed = 50;
-    w.active_mpl = 4.0;
-    SeriesNodeWindow node;
-    node.min_headroom_frac = noisy[i % 14];
-    node.limit_at_min = 1.0;
-    node.charges = 40;
-    w.nodes = {node};
-    series.windows.push_back(std::move(w));
-  }
-  EXPECT_EQ(CountDetector(AnalyzeSeries(series, QuietOptions()),
-                          "headroom_exhaustion"),
-            0u);
-}
-
-TEST(HealthDetectorTest, NegativeHeadroomIsAnImmediateError) {
-  RunSeries series = BuildDemoSeries(/*with_violation=*/true);
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
-  const Alert* a = FindDetector(report, "headroom_exhaustion");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->severity, AlertSeverity::kError);
-}
-
-TEST(HealthDetectorTest, CertificationStallFiresWhenWatermarkFreezes) {
-  RunSeries series;
-  series.window_s = 1.0;
-  for (int i = 0; i < 20; ++i) {
-    SeriesWindow w;
-    w.start_s = i;
-    w.duration_s = 1.0;
-    w.committed = 50;
-    w.active_mpl = 4.0;
-    // The watermark tracks the boundary for 10 windows, then freezes at
-    // 10 s (the streaming certifier freezes at the first violation).
-    w.certified_through_s = i < 10 ? i + 1.0 : 10.0;
-    series.windows.push_back(w);
-  }
-  const HealthReport report = AnalyzeSeries(series, QuietOptions());
-  const Alert* a = FindDetector(report, "certification_stall");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->severity, AlertSeverity::kError);
-  // Default threshold is 3 windows of lag: frozen at 10 s, window 12
-  // ends at 13 s — the first window 3 behind.
-  EXPECT_EQ(a->first_window, 12u);
-  EXPECT_TRUE(a->open);
-}
-
-TEST(HealthDetectorTest, CertificationOffNeverStalls) {
-  RunSeries series = BuildLivelockDemoSeries();
-  for (SeriesWindow& w : series.windows) w.certified_through_s = -1.0;
-  EXPECT_EQ(CountDetector(AnalyzeSeries(series, QuietOptions()),
-                          "certification_stall"),
-            0u);
-}
-
-TEST(HealthDetectorTest, ShardImbalanceFiresOnHotShard) {
-  HealthOptions options = QuietOptions();
-  HealthMonitor monitor(options);
-  SeriesWindow w;
-  w.duration_s = 1.0;
-  w.committed = 100;
-  for (int i = 0; i < 4; ++i) {
-    w.start_s = i;
-    HealthInput input;
-    // Shard 2 carries ~5.3x the mean op rate.
-    input.shard_ops = {100, 100, 3000, 100, 100, 100, 100, 100};
-    monitor.OnWindow(w, input);
-  }
-  monitor.Finish();
-  const HealthReport report = monitor.Report();
-  const Alert* a = FindDetector(report, "shard_imbalance");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->shard, 2);
-  EXPECT_TRUE(a->open);
-}
-
-TEST(HealthDetectorTest, BalancedShardsStayQuiet) {
-  HealthMonitor monitor(QuietOptions());
-  SeriesWindow w;
-  w.duration_s = 1.0;
-  w.committed = 100;
-  for (int i = 0; i < 10; ++i) {
-    w.start_s = i;
-    HealthInput input;
-    input.shard_ops = {900, 1100, 1000, 950, 1050, 1000, 980, 1020};
-    monitor.OnWindow(w, input);
-  }
-  monitor.Finish();
-  EXPECT_TRUE(monitor.Report().healthy());
-}
-
 // -- Episode semantics / gauges ---------------------------------------------
 
 TEST(HealthMonitorTest, EpisodeExtendsWhileConditionPersists) {
@@ -267,7 +137,6 @@ TEST(HealthMonitorTest, GaugesTrackActiveEpisodes) {
   for (size_t i = 21; i < demo.windows.size(); ++i) {
     monitor.OnWindow(demo.windows[i]);
   }
-  monitor.Finish();
   monitor.ExportGauges(&metrics);
   EXPECT_EQ(metrics.FindGauge("alert.active.abort_livelock")->value(), 0.0);
   EXPECT_EQ(metrics.FindGauge("alert.count")->value(), 1.0);
@@ -326,7 +195,7 @@ ClusterOptions RecordedRunOptions(EpsilonLevel level, int mpl, uint64_t seed) {
   options.measure_s = 120.0;  // full-scale run length: the documented
                               // phenomena live in long windows
   options.seed = seed;
-  options.health = true;
+  options.collect_series = true;
   return options;
 }
 
@@ -337,7 +206,8 @@ TEST(HealthRecordedRunTest, Mpl2LowLivelockEpisodeIsDetected) {
   // live abort rate — in the current engine.
   const SimResult result =
       RunCluster(RecordedRunOptions(EpsilonLevel::kLow, 2, 13));
-  const Alert* a = FindDetector(result.health, "abort_livelock");
+  const HealthReport health = AnalyzeSeries(result.series);
+  const Alert* a = FindDetector(health, "abort_livelock");
   ASSERT_NE(a, nullptr) << "livelock episode not detected";
   EXPECT_EQ(a->severity, AlertSeverity::kError);
   // The blamed windows must actually be starved in the recorded series.
@@ -359,7 +229,8 @@ TEST(HealthRecordedRunTest, HighMplBistabilityIsDetected) {
   // committed-per-window series splits into a high and a low regime.
   const SimResult result =
       RunCluster(RecordedRunOptions(EpsilonLevel::kMedium, 9, 7919));
-  const Alert* a = FindDetector(result.health, "thrashing_bistability");
+  const HealthReport health = AnalyzeSeries(result.series);
+  const Alert* a = FindDetector(health, "thrashing_bistability");
   ASSERT_NE(a, nullptr) << "bistable regime not detected";
   double mean_high = 0.0, mean_low = 0.0, cv = 0.0;
   for (const auto& kv : a->evidence) {
@@ -382,11 +253,11 @@ TEST(HealthRecordedRunTest, StableFig07RowsAreAlertFree) {
       for (uint64_t seed : seeds) {
         const SimResult result =
             RunCluster(RecordedRunOptions(level, mpl, seed));
-        EXPECT_TRUE(result.health.healthy())
+        const HealthReport health = AnalyzeSeries(result.series);
+        EXPECT_TRUE(health.healthy())
             << "false positive at mpl=" << mpl << " level="
             << static_cast<int>(level) << " seed=" << seed << ": "
-            << result.health.alerts[0].detector << ": "
-            << result.health.alerts[0].message;
+            << health.alerts[0].detector << ": " << health.alerts[0].message;
       }
     }
   }

@@ -166,7 +166,7 @@ TEST(PrometheusTextTest, PromotesAlertGaugesToDetectorLabels) {
   MetricRegistry reg;
   reg.gauge("alert.count").Set(2.0);
   reg.gauge("alert.active.abort_livelock").Set(1.0);
-  reg.gauge("alert.active.shard_imbalance").Set(0.0);
+  reg.gauge("alert.active.thrashing_bistability").Set(0.0);
 
   std::ostringstream out;
   WritePrometheusText(reg, out);
@@ -180,7 +180,7 @@ TEST(PrometheusTextTest, PromotesAlertGaugesToDetectorLabels) {
       std::string::npos)
       << text;
   EXPECT_NE(
-      text.find("esr_alert_active{detector=\"shard_imbalance\"} 0\n"),
+      text.find("esr_alert_active{detector=\"thrashing_bistability\"} 0\n"),
       std::string::npos)
       << text;
   EXPECT_NE(text.find("esr_alert_count 2\n"), std::string::npos) << text;

@@ -90,18 +90,11 @@ StreamCertification StreamOver(const std::vector<TraceEvent>& events,
 
 TEST(StreamCertifierTest, DemoHistoryOnlineMatchesOffline) {
   const std::vector<TraceEvent> events = DemoViolationHistory();
-  const AuditReport offline = AuditTrace(events);
-  ASSERT_EQ(offline.violations.size(), 1u);
-
-  StreamCertifierOptions options;
-  options.log_violations = false;
-  StreamCertifier certifier(options);
-  for (const TraceEvent& e : events) certifier.Observe(e);
-  const StreamCertification stream = certifier.Snapshot();
+  const StreamCertification stream = StreamOver(events);
 
   EXPECT_TRUE(stream.enabled);
   EXPECT_FALSE(stream.certified());
-  EXPECT_TRUE(StreamMatchesOffline(offline, stream));
+  ASSERT_EQ(stream.violations.size(), 1u);
   const BoundViolation& v = stream.violations.front();
   EXPECT_EQ(v.txn, 7u);
   EXPECT_EQ(v.group, 5u);
@@ -112,6 +105,16 @@ TEST(StreamCertifierTest, DemoHistoryOnlineMatchesOffline) {
   EXPECT_DOUBLE_EQ(v.limit, 50.0);
   ASSERT_EQ(stream.blamed_writers.size(), 1u);
   EXPECT_TRUE(stream.blamed_writers.front().empty());  // no waits captured
+
+  // The offline auditor names the same violation from the loaded events.
+  const AuditReport offline = AuditTrace(events);
+  ASSERT_EQ(offline.certification.violations.size(), 1u);
+  const BoundViolation& o = offline.certification.violations.front();
+  EXPECT_EQ(o.txn, v.txn);
+  EXPECT_EQ(o.group, v.group);
+  EXPECT_EQ(o.ts_begin, v.ts_begin);
+  EXPECT_EQ(o.ts_end, v.ts_end);
+  EXPECT_DOUBLE_EQ(o.accumulated, v.accumulated);
 }
 
 TEST(StreamCertifierTest, WatermarkFreezesAtViolationWindow) {
@@ -452,14 +455,19 @@ TEST(ClusterCertifyTest, OnlineVerdictMatchesOfflineAcrossSeeds) {
     EXPECT_TRUE(result.certification.certified()) << "seed " << seed;
     EXPECT_GT(result.certification.walks_replayed, 0u) << "seed " << seed;
 
-    // The run left its whole event stream in the global ring: replay it
-    // through the offline auditor and demand the identical verdict.
+    // The run left its whole event stream in the global ring. Auditing
+    // the ring must see what the recorder's observer hook fed the live
+    // certifier: every event, every walk and charge, the same verdict.
     ASSERT_EQ(GlobalTrace().dropped(), 0u) << "seed " << seed;
-    const std::vector<TraceEvent> events = GlobalTrace().Snapshot();
-    ASSERT_EQ(events.size(), result.certification.events_observed)
+    const StreamCertification& live = result.certification;
+    const StreamCertification offline =
+        AuditTrace(GlobalTrace().Snapshot()).certification;
+    EXPECT_EQ(offline.events_observed, live.events_observed)
         << "seed " << seed;
-    const AuditReport offline = AuditTrace(events);
-    EXPECT_TRUE(StreamMatchesOffline(offline, result.certification))
+    EXPECT_EQ(offline.walks_replayed, live.walks_replayed) << "seed " << seed;
+    EXPECT_EQ(offline.charges_applied, live.charges_applied)
+        << "seed " << seed;
+    EXPECT_EQ(offline.violations.size(), live.violations.size())
         << "seed " << seed;
   }
   GlobalTrace().set_enabled(was_enabled);
